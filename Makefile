@@ -19,9 +19,11 @@ race:
 	$(GO) test -race ./...
 
 # The packages with genuinely concurrent internals — the pager's staged
-# writers and sharded pool, the parallel build and search, the parallel
-# support counter — get a dedicated race pass so a failure names the
-# layer directly instead of drowning in the full-suite run.
+# writers, sharded pool and prefetch workers, the parallel build, the
+# parallel range scan, the shared-scan batch's scoring fan-out and
+# concurrent queries sharing pooled scratch, the parallel support
+# counter — get a dedicated race pass so a failure names the layer
+# directly instead of drowning in the full-suite run.
 race-core:
 	$(GO) test -race ./internal/pager ./internal/core ./internal/mining
 
@@ -63,9 +65,8 @@ staticcheck:
 # scatter-gather at 1/4/8 shards (memory and disk), independent vs
 # shared-scan batches, the page-codec scan and fused-score kernels (v1
 # vs v2), the build pipeline serial vs parallel, support counting, the
-# buffer-pool hammer, and the mixed read/write workload comparing the
-# retired RWMutex discipline against snapshot publication (query-ns/op
-# and decode-cache hit rate under 1% writes). delta_vs ratios compare
+# buffer-pool hammer, and the mixed read/write workload under snapshot
+# publication (query-ns/op and decode-cache hit rate under 1% writes). delta_vs ratios compare
 # each shared benchmark
 # against the newest previous BENCH_PR*.json baseline; with no baseline
 # on disk the flag is omitted and the report carries absolute numbers.

@@ -21,8 +21,8 @@ import (
 // and SortBy apply to every slot, Parallelism is the batch's worker
 // knob and SharedScan selects the engine. By default each slot is an
 // independent Query over a pool of Parallelism workers (0 selects
-// GOMAXPROCS), each query running serially — inter-query concurrency
-// already saturates the CPUs. With SharedScan the whole batch runs as
+// GOMAXPROCS), each query running its serial loop. With SharedScan the
+// whole batch runs as
 // ONE scan over the signature table: entries are visited in the order
 // of the best optimistic bound across the batch's still-live targets,
 // each entry's transactions are decoded once and consumed by every
@@ -37,8 +37,8 @@ import (
 // The trailing argument keeps pre-SearchOptions call sites compiling:
 // BatchQuery(ctx, targets, f, queryOpts, batchOpts) splits the knobs
 // exactly as the old (QueryOptions, BatchOptions) pair did — SharedScan
-// and the pool width from batchOpts, the per-query fields (including
-// per-query Parallelism) from queryOpts.
+// and the pool width from batchOpts, the per-query fields from
+// queryOpts.
 //
 // Deprecated: the two-options form. Pass a single SearchOptions.
 func (ix *Index) BatchQuery(ctx context.Context, targets []Transaction, f SimilarityFunc, opt SearchOptions, legacy ...BatchOptions) ([]Result, error) {
@@ -56,9 +56,6 @@ func (ix *Index) BatchQuery(ctx context.Context, targets []Transaction, f Simila
 	}
 	if parallelism > len(targets) {
 		parallelism = len(targets)
-	}
-	if parallelism > 1 && qopt.Parallelism == 0 {
-		qopt.Parallelism = 1
 	}
 
 	results := make([]Result, len(targets))
@@ -98,15 +95,12 @@ func (ix *Index) BatchQuery(ctx context.Context, targets []Transaction, f Simila
 
 // batchPlan resolves the unified and legacy calling conventions into
 // (shared engine?, per-query options, batch pool width). In the
-// unified form Parallelism is the batch knob and each query runs with
-// the engine's own default fan-out; in the legacy form the two structs
-// keep their historical roles.
+// unified form Parallelism is the batch knob; in the legacy form the
+// two structs keep their historical roles.
 func batchPlan(opt SearchOptions, legacy []BatchOptions) (bool, SearchOptions, int) {
 	if len(legacy) > 0 {
 		b := legacy[0]
 		return opt.SharedScan || b.SharedScan, opt, b.Parallelism
 	}
-	pool := opt.Parallelism
-	opt.Parallelism = 0
-	return opt.SharedScan, opt, pool
+	return opt.SharedScan, opt, opt.Parallelism
 }

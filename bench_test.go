@@ -22,7 +22,6 @@ import (
 	"testing"
 	"time"
 
-	"sigtable/internal/core"
 	"sigtable/internal/experiments"
 	"sigtable/internal/gen"
 	"sigtable/internal/mining"
@@ -224,16 +223,16 @@ type microFixture struct {
 var microOnce sync.Once
 var micro microFixture
 
-func microSetup(b *testing.B) *microFixture {
+func microSetup(tb testing.TB) *microFixture {
 	microOnce.Do(func() {
 		g, err := NewGenerator(GeneratorConfig{Seed: 77})
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		micro.data = g.Dataset(50000)
 		micro.idx, err = BuildIndex(micro.data, IndexOptions{SignatureCardinality: 15})
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		micro.inv = BuildInvertedIndex(micro.data, InvertedIndexOptions{})
 		micro.queries = g.Queries(256)
@@ -252,26 +251,20 @@ func BenchmarkQuerySignatureTableNN(b *testing.B) {
 	}
 }
 
-// BenchmarkQueryMem A/B-tests the entry-ranking engines on the
-// memory-path NN query: heap is the legacy per-entry bound loop
-// feeding a binary heap, bucketed is the bit-sliced directory kernel
-// feeding the counting-sort ladder. Answers are byte-identical (the
-// property tests prove it); only the wall clock moves.
+// BenchmarkQueryMem is the memory-path NN query through the
+// bit-sliced directory kernel feeding the counting-sort ladder, kept
+// under its archived name so the BENCH_PR*.json series stays
+// comparable.
 func BenchmarkQueryMem(b *testing.B) {
 	m := microSetup(b)
-	run := func(b *testing.B, legacy bool) {
-		defer func(old bool) { core.LegacyRanker = old }(core.LegacyRanker)
-		core.LegacyRanker = legacy
+	b.Run("bucketed", func(b *testing.B) {
 		b.ReportAllocs()
-		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := m.idx.Query(context.Background(), m.queries[i%len(m.queries)], Cosine{}, QueryOptions{K: 1}); err != nil {
 				b.Fatal(err)
 			}
 		}
-	}
-	b.Run("heap", func(b *testing.B) { run(b, true) })
-	b.Run("bucketed", func(b *testing.B) { run(b, false) })
+	})
 }
 
 func BenchmarkQuerySignatureTableNNEarly2pct(b *testing.B) {
@@ -282,28 +275,6 @@ func BenchmarkQuerySignatureTableNNEarly2pct(b *testing.B) {
 		if _, err := m.idx.Query(context.Background(), m.queries[i%len(m.queries)], Cosine{}, QueryOptions{K: 1, MaxScanFraction: 0.02}); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkQueryParallel sweeps worker counts over the same exact
-// k-NN search. Parallelism=1 is the serial engine; 0 resolves to
-// GOMAXPROCS. The answers are byte-identical across the sweep (the
-// property tests prove it); only the wall clock moves.
-func BenchmarkQueryParallel(b *testing.B) {
-	m := microSetup(b)
-	for _, p := range []int{1, 2, 4, 8, 0} {
-		name := fmt.Sprintf("p%d", p)
-		if p == 0 {
-			name = "pmax"
-		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := m.idx.Query(context.Background(), m.queries[i%len(m.queries)], Cosine{}, QueryOptions{K: 1, Parallelism: p}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 
@@ -715,20 +686,16 @@ func BenchmarkPoolHammer(b *testing.B) {
 	}
 }
 
-// --- Mixed read/write workload: RWMutex vs snapshot publication ---
+// --- Mixed read/write workload under snapshot publication ---
 
 // BenchmarkMixedWorkload drives N parallel workers over one index with
-// a ~1% Insert/Delete mix and measures what the readers feel: the
-// rwmutex variants reproduce the seed's discipline (queries under a
-// shared RWMutex, mutations under the exclusive lock with the legacy
-// in-place core mutators and their global decode-cache invalidation),
-// the snapshot variants run the published-snapshot engine (lock-free
-// queries, per-list invalidation, batched overflow flush). Reported
-// per variant: query-ns/op, the mean wall time of the query ops alone
-// (the headline ns/op mixes in the mutations), and in disk mode
-// dchit%, the decode-cache hit rate over the measured window — global
-// invalidation restarts the cache from cold after every write, the
-// per-list protocol keeps the working set warm.
+// a ~1% Insert/Delete mix and measures what the readers feel under the
+// published-snapshot engine (lock-free queries, per-list invalidation,
+// batched overflow flush). Reported per variant: query-ns/op, the mean
+// wall time of the query ops alone (the headline ns/op mixes in the
+// mutations), and in disk mode dchit%, the decode-cache hit rate over
+// the measured window — the per-list protocol keeps the working set
+// warm across writes.
 func BenchmarkMixedWorkload(b *testing.B) {
 	storages := []struct {
 		suffix string
@@ -742,15 +709,13 @@ func BenchmarkMixedWorkload(b *testing.B) {
 		}},
 	}
 	for _, st := range storages {
-		for _, mode := range []string{"rwmutex", "snapshot"} {
-			b.Run(mode+st.suffix, func(b *testing.B) {
-				benchMixedWorkload(b, mode, st.opt)
-			})
-		}
+		b.Run("snapshot"+st.suffix, func(b *testing.B) {
+			benchMixedWorkload(b, st.opt)
+		})
 	}
 }
 
-func benchMixedWorkload(b *testing.B, mode string, opt IndexOptions) {
+func benchMixedWorkload(b *testing.B, opt IndexOptions) {
 	g, err := NewGenerator(GeneratorConfig{Seed: 81})
 	if err != nil {
 		b.Fatal(err)
@@ -762,21 +727,13 @@ func benchMixedWorkload(b *testing.B, mode string, opt IndexOptions) {
 	}
 	defer idx.Close()
 	queries := g.Queries(256)
-
-	// The rwmutex baseline drives the core table directly under a
-	// read-write lock — the seed Index's exact discipline; the wrapper
-	// Index is not used again, so the lineage stays on the legacy
-	// protocol.
-	table := idx.Table()
-	store := table.Store()
-	var mu sync.RWMutex
+	store := idx.Table().Store()
 
 	var hits0, misses0 int64
 	if store != nil && store.DecodeCache() != nil {
 		hits0, misses0 = store.DecodeCache().Stats()
 	}
 
-	qopt := core.QueryOptions{K: 1, MaxScanFraction: 0.05, Parallelism: 1}
 	var queryNanos, queryCount int64
 	var seedCtr int64
 	b.ReportAllocs()
@@ -786,40 +743,17 @@ func benchMixedWorkload(b *testing.B, mode string, opt IndexOptions) {
 		var localNs, localN int64
 		for pb.Next() {
 			if rng.Intn(128) == 0 {
-				tr := queries[rng.Intn(len(queries))]
-				del := TID(rng.Intn(20000))
-				switch mode {
-				case "rwmutex":
-					mu.Lock()
-					if rng.Intn(2) == 0 {
-						table.Insert(tr)
-					} else {
-						table.Delete(del)
-					}
-					mu.Unlock()
-				case "snapshot":
-					if rng.Intn(2) == 0 {
-						idx.Insert(tr)
-					} else {
-						idx.Delete(del)
-					}
+				if rng.Intn(2) == 0 {
+					idx.Insert(queries[rng.Intn(len(queries))])
+				} else {
+					idx.Delete(TID(rng.Intn(20000)))
 				}
 				continue
 			}
 			target := queries[rng.Intn(len(queries))]
 			t0 := time.Now()
-			switch mode {
-			case "rwmutex":
-				mu.RLock()
-				_, err := table.Query(context.Background(), target, simfun.Cosine{}, qopt)
-				mu.RUnlock()
-				if err != nil {
-					b.Fatal(err)
-				}
-			case "snapshot":
-				if _, err := idx.Query(context.Background(), target, Cosine{}, QueryOptions{K: 1, MaxScanFraction: 0.05, Parallelism: 1}); err != nil {
-					b.Fatal(err)
-				}
+			if _, err := idx.Query(context.Background(), target, Cosine{}, QueryOptions{K: 1, MaxScanFraction: 0.05}); err != nil {
+				b.Fatal(err)
 			}
 			localNs += time.Since(t0).Nanoseconds()
 			localN++

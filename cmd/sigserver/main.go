@@ -2,7 +2,7 @@
 // a versioned HTTP JSON API.
 //
 //	sigserver -data baskets.dat [-addr :8080] [-K 15] [-r 1]
-//	          [-query-timeout 5s] [-max-concurrent 64]
+//	          [-query-timeout 5s] [-max-concurrent 0]
 //	          [-build-parallelism 0] [-page-size 0] [-page-file ""]
 //	          [-page-format v2] [-pool-pages 0]
 //	          [-decode-cache-bytes 0] [-prefetch-workers 0]
@@ -32,7 +32,8 @@
 //	POST /v1/query /v1/range /v1/multi /v1/batch /v1/insert /v1/delete /v1/explain /v1/rebuild
 //	GET  /debug/pprof/...
 //
-// The unversioned routes remain as deprecated aliases. Example:
+// The unversioned routes (/stats, /query, ...) answer 410 Gone with a
+// Link to their /v1 successor. Example:
 //
 //	curl -s localhost:8080/v1/query -d '{"items":[3,17,42],"f":"cosine","k":5}'
 //
@@ -64,7 +65,7 @@ func main() {
 		r             = flag.Int("r", 1, "activation threshold")
 		queryTimeout  = flag.Duration("query-timeout", 5*time.Second, "per-query search deadline (0 disables)")
 		maxConcurrent = flag.Int("max-concurrent", 0, "max in-flight requests (0 = 4×GOMAXPROCS)")
-		queryPar      = flag.Int("query-parallelism", 1, "scan goroutines per search when the request does not choose (1 = serial)")
+		queryPar      = flag.Int("query-parallelism", 1, "/v1/range partitioning goroutines when the request does not choose (1 = serial); k-NN searches always run serially")
 		buildPar      = flag.Int("build-parallelism", 0, "index build/rebuild workers (0 = GOMAXPROCS, 1 = serial)")
 		pageSize      = flag.Int("page-size", 0, "store transaction lists on simulated disk pages of this many bytes (0 = in memory)")
 		pageFile      = flag.String("page-file", "", "back the page store with a real file at this path (needs -page-size)")

@@ -33,10 +33,10 @@
 //
 //	idx.BatchQuery(ctx, targets, f, sigtable.SearchOptions{K: 5, Parallelism: 4})
 //
-// Parallelism is the batch worker pool (each slot runs serially),
-// while the legacy two-struct form keeps its historical meaning —
-// QueryOptions.Parallelism fans out within a slot, and
-// BatchOptions.Parallelism sizes the pool.
+// Parallelism is the batch worker pool, while the legacy two-struct
+// form takes the pool width from BatchOptions.Parallelism.
+// Query and MultiQuery ignore Parallelism: a single k-NN search always
+// runs one serial branch-and-bound loop.
 //
 // # Contexts and deadlines
 //
@@ -65,15 +65,17 @@
 // Engine.SnapshotVersion reports the publication counter (also
 // exported as the sigtable_snapshot_version metric).
 //
-// Independently of inter-query concurrency, a single search can spread
-// its entry scans over several goroutines: SearchOptions.Parallelism
-// sets the worker count, 0 meaning
-// GOMAXPROCS and 1 (the default) the serial loop. The parallel engine
-// is a pure execution strategy — neighbors, cost counters and the
-// optimality certificate are byte-identical to the serial engine's,
-// which the test suite asserts by property testing. Result.Workers
-// reports the engine used; Result.EntriesSpeculated counts work that
-// ran ahead of the deterministic commit order and was discarded.
+// Concurrency comes from running many queries at once; one k-NN search
+// is one serial branch-and-bound loop. SearchOptions.Parallelism sizes
+// only the searches that still fan out — a range query's entry
+// partitioning and a batch's worker pool or shared-scan scoring — with
+// 0 meaning GOMAXPROCS. The single-table, shared-scan and sharded
+// engines drive the same loop bookkeeping, so their neighbors, cost
+// counters and certificates are byte-identical, and the test suite
+// checks all of them against a sequential-scan oracle.
+// Result.Workers reports the goroutines a search used;
+// Result.EntriesSpeculated counts entries a sharded search's workers
+// scored ahead of the coordinator and discarded.
 //
 // # Batches and the shared scan
 //
@@ -148,10 +150,10 @@
 // visit order so the pipeline can warm the pool ahead of the scan.
 // SearchOptions.ReadaheadDepth tunes that per search: 0 (the default)
 // uses the pipeline's adaptive depth, a positive value fixes the
-// window, a negative value opts the search out. Mutations invalidate
-// in-flight prefetches by generation, so a stale page is unreachable,
-// and neighbors, costs and certificates are byte-identical with the
-// pipeline on or off — the test suite asserts it by property testing.
+// window, a negative value opts the search out. Pages are write-once,
+// so a prefetched page is never stale, and neighbors, costs and
+// certificates are byte-identical with the pipeline on or off — the
+// test suite asserts it by property testing.
 //
 // # Entry ranking: the directory
 //
@@ -161,9 +163,9 @@
 // Compact. Queries rank every entry with a bit-sliced kernel over the
 // overlapped signatures' bitmaps and consume the order lazily
 // best-first from a counting-sort ladder — byte-identical, position by
-// position, to the per-entry bound loop and binary heap it replaced
-// (the legacy path survives behind the core package's LegacyRanker
-// flag for A/B benchmarks). Engine.DirectoryStats reports the
+// position, to fully sorting every entry's scalar bounds, the
+// reference the property tests compare it against.
+// Engine.DirectoryStats reports the
 // directory's size and ranking counters; the same numbers surface as
 // sigtable_directory_* metrics and the /v1/stats directory section,
 // and Explanation carries the kernel's bound decomposition

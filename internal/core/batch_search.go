@@ -2,14 +2,12 @@ package core
 
 import (
 	"context"
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"sigtable/internal/signature"
 	"sigtable/internal/simfun"
-	"sigtable/internal/topk"
 	"sigtable/internal/txn"
 )
 
@@ -22,14 +20,13 @@ import (
 // largely the same handful. QueryBatch instead drives ONE scan over the
 // signature table for the whole batch.
 //
-// The identity argument is the same one the parallel engine makes
-// (parallel_search.go), applied across targets instead of across
-// goroutines: each target's search is a deterministic function of its
-// own state — its ranked entry order, its top-k heap, its budget — and
-// shares nothing semantic with the other targets. The batch engine
-// keeps per-target M_opt/D_opt bounds, entry queue, heap, scan budget
-// and counters, and replays each target's serial loop (searchSerial)
-// verbatim, one entry step at a time. Only the *decoded transactions*
+// The identity argument: each target's search is a deterministic
+// function of its own state — its ranked entry order, its top-k heap,
+// its budget — and shares nothing semantic with the other targets. The
+// batch engine keeps per-target M_opt/D_opt bounds, entry ladder and
+// Frontier (heap, scan budget, counters), and replays each target's
+// serial loop (searchSerial) verbatim, one entry step at a time,
+// through the same Frontier calls. Only the *decoded transactions*
 // are shared: when a step must scan an entry, the entry is decoded
 // once and the records are parked in a batch-local memo for every
 // other live target whose bound for that entry still beats its
@@ -64,18 +61,23 @@ type batchTarget struct {
 	m  matcher
 	sc *queryScratch
 
-	src     entrySource
+	src     *entryLadder
 	opts    []float64 // optimistic bound by entry slot (memo interest checks)
 	visited []bool    // entries this target has popped
 
-	best       *topk.Heap
-	budget     int
-	partialOpt float64
-	reads      atomic.Int64
+	fr    *Frontier
+	score func(id txn.TID, x, y int) bool // offers f.Score(x, y) to fr
+	reads atomic.Int64
 
-	res         Result
-	interrupted bool
-	finished    bool
+	res      Result // set by finishTarget
+	finished bool
+}
+
+// retired reports that the target's search can take no further step:
+// its frontier stopped (interrupted, budget, prune-break) or its
+// ladder is drained.
+func (bt *batchTarget) retired() bool {
+	return !bt.fr.Live() || bt.src.Len() == 0
 }
 
 // minBatchScoreFan gates intra-entry scoring fan-out: entries smaller
@@ -104,7 +106,7 @@ var minBatchScoreFan = 4096
 // targets that already closed their certificate keep their exact
 // answers.
 func (t *Table) QueryBatch(ctx context.Context, targets []txn.Transaction, f simfun.Func, opt QueryOptions, workers int) ([]Result, error) {
-	opt, budget, err := opt.normalized(t.live)
+	opt, err := opt.Normalize()
 	if err != nil {
 		return nil, err
 	}
@@ -133,21 +135,20 @@ func (t *Table) QueryBatch(ctx context.Context, targets []txn.Transaction, f sim
 		src := t.rankSource(sc, fj, overlaps, targetCoord, opt.SortBy)
 
 		bt := &batchTarget{
-			f:          fj,
-			m:          t.newMatcher(target),
-			sc:         sc,
-			src:        src,
-			opts:       make([]float64, len(t.entries)),
-			visited:    make([]bool, len(t.entries)),
-			best:       topk.New(opt.K),
-			budget:     budget,
-			partialOpt: math.Inf(-1),
+			f:       fj,
+			m:       t.newMatcher(target),
+			sc:      sc,
+			src:     src,
+			opts:    make([]float64, len(t.entries)),
+			visited: make([]bool, len(t.entries)),
+			fr:      NewFrontier(ctx, opt, t.live),
+		}
+		bt.score = func(id txn.TID, x, y int) bool {
+			return bt.fr.Offer(id, bt.f.Score(x, y))
 		}
 		src.All(func(re rankedEntry) {
 			bt.opts[re.idx] = re.opt
 		})
-		bt.res.Workers = fan
-		bt.interrupted = ctx.Err() != nil
 		bts[j] = bt
 	}
 	defer func() {
@@ -165,13 +166,11 @@ func (t *Table) QueryBatch(ctx context.Context, targets []txn.Transaction, f sim
 	for live > 0 {
 		j := pickTarget(bts)
 		bt := bts[j]
-		if bt.interrupted || bt.src.Len() == 0 {
-			t.finishTarget(bts, j, memos)
-			live--
-			continue
+		if !bt.retired() {
+			t.stepTarget(bts, j, memos, fan, prefetch)
 		}
-		t.stepTarget(ctx, bts, j, memos, opt, fan, prefetch)
-		if bt.finished {
+		if bt.retired() {
+			t.finishTarget(bts, j, memos, fan)
 			live--
 		}
 	}
@@ -192,15 +191,15 @@ func resolveScoreFan(workers int) int {
 }
 
 // pickTarget selects the live target whose next entry ranks highest
-// under the shared visiting order; an interrupted or drained target is
-// picked first so it retires immediately. Ties fall to the lower index.
+// under the shared visiting order; a retired target is picked first so
+// it finishes immediately. Ties fall to the lower index.
 func pickTarget(bts []*batchTarget) int {
 	pick := -1
 	for j, bt := range bts {
 		if bt.finished {
 			continue
 		}
-		if bt.interrupted || bt.src.Len() == 0 {
+		if bt.retired() {
 			return j
 		}
 		if pick == -1 || rankedBefore(bt.src.Peek(), bts[pick].src.Peek()) {
@@ -214,47 +213,21 @@ func pickTarget(bts []*batchTarget) int {
 // most promising entry, prune or scan it, then re-check the context —
 // bit for bit the body of searchSerial, with the entry's records coming
 // from the shared memo (or producing one) instead of a private scan.
-func (t *Table) stepTarget(ctx context.Context, bts []*batchTarget, j int, memos []*batchMemo, opt QueryOptions, fan int, prefetch func(src entrySource)) {
+// Values beyond a budget stop were never computed by the serial loop
+// either — the offer loop stops before scoring them.
+func (t *Table) stepTarget(bts []*batchTarget, j int, memos []*batchMemo, fan int, prefetch func(*entryLadder)) {
 	bt := bts[j]
 	re := bt.src.Pop()
 	bt.visited[re.idx] = true
-
-	if threshold, full := bt.best.Threshold(); full && re.opt <= threshold {
+	if bt.fr.Prune(re.opt, bt.src.Drop) {
 		releaseMemoClaim(memos, re.idx, j)
-		if opt.SortBy == ByOptimisticBound {
-			// Ordered by bound: everything still queued is prunable too.
-			bt.res.EntriesPruned += 1 + bt.src.Drop()
-			t.finishTarget(bts, j, memos)
-			return
-		}
-		bt.res.EntriesPruned++
 		return
 	}
 	if prefetch != nil {
 		prefetch(bt.src)
 	}
-	bt.res.EntriesScanned++
-
-	// Score and offer in record order, replaying the serial loop's
-	// budget and mid-entry cancellation checks at the same Scanned
-	// counts. Values beyond a budget stop were never computed by the
-	// serial loop either — the offer loop stops before scoring them.
-	stop := false
-	inEntry := 0
-	offer := func(id txn.TID, val float64) bool {
-		bt.best.Offer(id, val)
-		bt.res.Scanned++
-		inEntry++
-		if bt.res.Scanned >= bt.budget {
-			stop = true
-			return false
-		}
-		if bt.res.Scanned%cancelCheckInterval == 0 && ctx.Err() != nil {
-			bt.interrupted = true
-			return false
-		}
-		return true
-	}
+	bt.fr.Enter(re.opt, re.e.Count)
+	defer bt.fr.Leave()
 
 	memo := memos[re.idx]
 	if memo == nil {
@@ -266,60 +239,38 @@ func (t *Table) stepTarget(ctx context.Context, bts []*batchTarget, j int, memos
 		// loop, with no buffering at all.
 		want, remaining := memoInterest(bts, j, re.idx)
 		if remaining == 0 {
-			t.scanEntryStats(re.e, &bt.m, &bt.reads, func(id txn.TID, x, y int) bool {
-				return offer(id, bt.f.Score(x, y))
-			})
-		} else {
-			memo = &batchMemo{
-				ids:       make([]txn.TID, 0, re.e.Count),
-				txns:      make([]txn.Transaction, 0, re.e.Count),
-				want:      want,
-				remaining: remaining,
-			}
-			t.scanEntry(re.e, &bt.reads, func(id txn.TID, tr txn.Transaction) bool {
-				memo.ids = append(memo.ids, id)
-				memo.txns = append(memo.txns, tr)
-				return true
-			})
-			memos[re.idx] = memo
+			t.scanEntryStats(re.e, &bt.m, &bt.reads, bt.score)
+			return
 		}
-	} else if memo.want[j] {
-		memo.want[j] = false
-		memo.remaining--
-		if memo.remaining == 0 {
-			memos[re.idx] = nil
+		memo = &batchMemo{
+			ids:       make([]txn.TID, 0, re.e.Count),
+			txns:      make([]txn.Transaction, 0, re.e.Count),
+			want:      want,
+			remaining: remaining,
 		}
+		t.scanEntry(re.e, &bt.reads, func(id txn.TID, tr txn.Transaction) bool {
+			memo.ids = append(memo.ids, id)
+			memo.txns = append(memo.txns, tr)
+			return true
+		})
+		memos[re.idx] = memo
+	} else {
+		releaseMemoClaim(memos, re.idx, j)
 	}
-	if memo != nil {
-		if fan > 1 && len(memo.txns) >= minBatchScoreFan {
-			vals := t.scoreFan(bt, memo.txns, fan)
-			for ci, id := range memo.ids {
-				if !offer(id, vals[ci]) {
-					break
-				}
-			}
-		} else {
-			for ci, id := range memo.ids {
-				x, y := bt.m.matchHamming(memo.txns[ci])
-				if !offer(id, bt.f.Score(x, y)) {
-					break
-				}
+	if fan > 1 && len(memo.txns) >= minBatchScoreFan {
+		vals := t.scoreFan(bt, memo.txns, fan)
+		for ci, id := range memo.ids {
+			if !bt.fr.Offer(id, vals[ci]) {
+				return
 			}
 		}
-	}
-	if stop || bt.interrupted {
-		// The budget (or deadline) ran out inside this entry; any
-		// unexamined transactions are still bounded by its optimistic
-		// bound.
-		if inEntry < re.e.Count {
-			bt.partialOpt = re.opt
-		}
-		t.finishTarget(bts, j, memos)
 		return
 	}
-	bt.interrupted = ctx.Err() != nil
-	if bt.interrupted || bt.src.Len() == 0 {
-		t.finishTarget(bts, j, memos)
+	for ci, id := range memo.ids {
+		x, y := bt.m.matchHamming(memo.txns[ci])
+		if !bt.score(id, x, y) {
+			return
+		}
 	}
 }
 
@@ -334,7 +285,7 @@ func memoInterest(bts []*batchTarget, j, idx int) (want []bool, remaining int) {
 		if o == j || other.finished || other.visited[idx] {
 			continue
 		}
-		if threshold, full := other.best.Threshold(); full && other.opts[idx] <= threshold {
+		if other.fr.Prunable(other.opts[idx]) {
 			continue
 		}
 		if want == nil {
@@ -348,9 +299,9 @@ func memoInterest(bts []*batchTarget, j, idx int) (want []bool, remaining int) {
 
 // scoreFan computes the similarity of every record against one target
 // with fan goroutines over disjoint chunks. Scoring is pure — the
-// bitmap is read-only, Score is concurrency-safe by the Parallelism
-// contract — so the values are identical to inline scoring; only the
-// wall time changes.
+// bitmap is read-only, Score is concurrency-safe by QueryBatch's
+// workers contract — so the values are identical to inline scoring;
+// only the wall time changes.
 func (t *Table) scoreFan(bt *batchTarget, txns []txn.Transaction, fan int) []float64 {
 	vals := make([]float64, len(txns))
 	chunk := (len(txns) + fan - 1) / fan
@@ -391,21 +342,11 @@ func releaseMemoClaim(memos []*batchMemo, idx, j int) {
 // replay left unresolved — the exact epilogue of searchSerial — and
 // releases its outstanding memo claims so parked decodes don't outlive
 // their audience.
-func (t *Table) finishTarget(bts []*batchTarget, j int, memos []*batchMemo) {
+func (t *Table) finishTarget(bts []*batchTarget, j int, memos []*batchMemo, fan int) {
 	bt := bts[j]
-	maxRemaining := bt.partialOpt
-	if v := bt.src.MaxRemainingOpt(); v > maxRemaining {
-		maxRemaining = v
-	}
-	bt.res.Neighbors = bt.best.Results()
-	bt.res.Interrupted = bt.interrupted
-	threshold, full := bt.best.Threshold()
-	bt.res.Certified = full && (math.IsInf(maxRemaining, -1) || maxRemaining <= threshold)
-	bt.res.BestPossible = maxRemaining
-	if len(bt.res.Neighbors) > 0 && bt.res.Neighbors[0].Value > bt.res.BestPossible {
-		bt.res.BestPossible = bt.res.Neighbors[0].Value
-	}
+	bt.res = bt.fr.Finish(bt.src.MaxRemainingOpt())
 	bt.res.PagesRead = bt.reads.Load()
+	bt.res.Workers = fan
 	bt.finished = true
 
 	for idx, memo := range memos {

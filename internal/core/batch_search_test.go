@@ -45,7 +45,7 @@ func TestQuickBatchMatchesSerial(t *testing.T) {
 		}
 		fs := allSimFuncs()
 		f := fs[int(fRaw)%len(fs)]
-		opt := QueryOptions{K: 1 + int(kNNRaw)%8, Parallelism: 1}
+		opt := QueryOptions{K: 1 + int(kNNRaw)%8}
 		if sortRaw%2 == 1 {
 			opt.SortBy = ByCoordSimilarity
 		}
@@ -119,14 +119,14 @@ func TestQuickBatchMatchesSerialAfterUpdates(t *testing.T) {
 			return false
 		}
 		for i := 0; i < 20; i++ {
-			table.Insert(randomTarget(rng, universe))
+			table, _ = table.InsertSnapshot(randomTarget(rng, universe))
 		}
 		for i := 0; i < 30; i++ {
-			table.Delete(txn.TID(rng.Intn(table.Len())))
+			table, _ = table.DeleteSnapshot(txn.TID(rng.Intn(table.Len())))
 		}
 		fs := allSimFuncs()
 		f := fs[int(fRaw)%len(fs)]
-		opt := QueryOptions{K: 3, Parallelism: 1}
+		opt := QueryOptions{K: 3}
 		targets := make([]txn.Transaction, 2+int(batchRaw)%6)
 		for i := range targets {
 			targets[i] = randomTarget(rng, universe)
@@ -206,7 +206,7 @@ func TestBatchCancellation(t *testing.T) {
 	for i := range targets {
 		targets[i] = randomTarget(rng, universe)
 	}
-	opt := QueryOptions{K: 3, Parallelism: 1}
+	opt := QueryOptions{K: 3}
 
 	// Already-dead context: every slot interrupted, zero work.
 	res, err := table.QueryBatch(cancelledContext(), targets, simfun.Jaccard{}, opt, 1)

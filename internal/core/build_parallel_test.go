@@ -180,7 +180,7 @@ func TestBuildStatsRecorded(t *testing.T) {
 		t.Fatalf("Write = %v, want > 0 in disk mode", st.Write)
 	}
 
-	table.Delete(1)
+	table, _ = table.DeleteSnapshot(1)
 	rebuilt, err := table.Rebuild()
 	if err != nil {
 		t.Fatal(err)

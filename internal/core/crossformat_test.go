@@ -74,8 +74,8 @@ func TestCrossFormatQueryIdentity(t *testing.T) {
 						{K: 5},
 						{K: 3, MaxScanFraction: 0.2},
 						{K: 5, SortBy: ByCoordSimilarity},
-						{K: 5, Parallelism: 4},
-						{K: 2, MaxScanFraction: 0.1, Parallelism: 3},
+						{K: 2, MaxScanFraction: 0.1},
+						{K: 4, MaxScanFraction: 0.1, SortBy: ByCoordSimilarity},
 					} {
 						r1, err := t1.Query(ctx, target, f, opt)
 						if err != nil {
@@ -190,19 +190,15 @@ func TestCrossFormatMutationIdentity(t *testing.T) {
 		t.Helper()
 		for qi := 0; qi < 8; qi++ {
 			target := randomTarget(rng, 80)
-			// Derive the target before branching on parallelism so both
-			// tables see the same sequence.
-			for _, par := range []int{1, 3} {
-				r1, err := t1.Query(ctx, target, simfun.Cosine{}, QueryOptions{K: 5, Parallelism: par})
-				if err != nil {
-					t.Fatal(err)
-				}
-				r2, err := t2.Query(ctx, target, simfun.Cosine{}, QueryOptions{K: 5, Parallelism: par})
-				if err != nil {
-					t.Fatal(err)
-				}
-				checkResultEqual(t, label, r1, r2)
+			r1, err := t1.Query(ctx, target, simfun.Cosine{}, QueryOptions{K: 5})
+			if err != nil {
+				t.Fatal(err)
 			}
+			r2, err := t2.Query(ctx, target, simfun.Cosine{}, QueryOptions{K: 5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkResultEqual(t, label, r1, r2)
 		}
 	}
 
@@ -210,16 +206,18 @@ func TestCrossFormatMutationIdentity(t *testing.T) {
 
 	for i := 0; i < 60; i++ {
 		tr := randomTarget(rng, 80)
-		id1 := t1.Insert(tr)
-		id2 := t2.Insert(tr)
+		var id1, id2 txn.TID
+		t1, id1 = t1.InsertSnapshot(tr)
+		t2, id2 = t2.InsertSnapshot(tr)
 		if id1 != id2 {
 			t.Fatalf("insert %d: TID %d (v1) != %d (v2)", i, id1, id2)
 		}
 	}
 	for i := 0; i < 40; i++ {
 		id := txn.TID(rng.Intn(d.Len()))
-		ok1 := t1.Delete(id)
-		ok2 := t2.Delete(id)
+		var ok1, ok2 bool
+		t1, ok1 = t1.DeleteSnapshot(id)
+		t2, ok2 = t2.DeleteSnapshot(id)
 		if ok1 != ok2 {
 			t.Fatalf("delete %d: %v (v1) != %v (v2)", id, ok1, ok2)
 		}

@@ -47,23 +47,16 @@ import (
 //
 // Ranked entries then go into a counting-sort ladder rather than a
 // heap: sort keys quantize (via the order-preserving float→uint64
-// encoding the parallel engine already uses for thresholds) into at
-// most 256 buckets whose key ranges are disjoint and descending, so
-// consuming buckets first-to-last visits entries in exactly the heap's
-// pop order once each bucket is sorted — and a bucket is sorted only
-// when consumption reaches it. A query that prunes after a short
-// prefix never sorts the tail, and in bound order never even computes
-// the tail's tie-break keys (the second similarity call per entry).
-// The visiting order is a strict total order — coordinates are unique
-// within a table — so the lazily sorted ladder and the heap produce
-// the same sequence element for element.
-
-// LegacyRanker routes every engine's entry ranking through the
-// pre-directory path: the naive O(entries×K) bound loop into a binary
-// heap. It exists so property tests and benchmarks can A/B the two
-// rankers against each other; production leaves it false. Flipping it
-// while queries are in flight is not safe.
-var LegacyRanker bool
+// encoding encodeThreshold) into at most 256 buckets whose key ranges
+// are disjoint and descending, so consuming buckets first-to-last
+// visits entries in exactly the visiting order once each bucket is
+// sorted — and a bucket is sorted only when consumption reaches it. A
+// query that prunes after a short prefix never sorts the tail, and in
+// bound order never even computes the tail's tie-break keys (the
+// second similarity call per entry). The visiting order is a strict
+// total order — coordinates are unique within a table — so the lazily
+// sorted ladder yields the same sequence as a full sort of all entries
+// by CompareRanked, element for element.
 
 // Process-wide directory telemetry. Counters live at package level,
 // not on the Table, so they survive the table swaps Rebuild/Compact
@@ -81,9 +74,9 @@ var (
 // place (the entry itself survives tombstoning). The table keeps its
 // entries slice in the same slot order, so t.entries[s] is the entry at
 // slot s and the directory itself stores only coordinate-derived bits.
-// Readers treat a directory as immutable; in-place mutation (addSlot)
-// belongs to the legacy single-writer protocol, while the snapshot
-// protocol derives a new directory with withSlot.
+// Readers treat a directory as immutable: addSlot mutates only a
+// directory no reader has seen yet (newDirectory's, or the copy
+// withSlot derives for a snapshot insert).
 type directory struct {
 	k      int
 	slots  int
@@ -126,8 +119,8 @@ func (d *directory) ensure(n int) {
 }
 
 // addSlot appends one slot for a coordinate, setting its bit in every
-// signature row the coordinate activates. In-place: legacy protocol
-// only.
+// signature row the coordinate activates. In place: only for a
+// directory still private to its builder.
 func (d *directory) addSlot(coord signature.Coord) {
 	d.ensure(d.slots + 1)
 	s := d.slots
@@ -200,92 +193,17 @@ func (t *Table) DirectoryStats() DirectoryStats {
 		Ranks:       dirRanks.Load(),
 		RankSeconds: float64(dirRankNanos.Load()) / 1e9,
 	}
-	if t.dir != nil {
-		st.Slots = t.dir.slots
-		st.Bytes = t.dir.bytes()
-	}
+	st.Slots = t.dir.slots
+	st.Bytes = t.dir.bytes()
 	return st
 }
 
-// entrySource is the ranked-entry consumption surface every engine
-// drives: the lazily sorted ladder in production, the legacy heap
-// under LegacyRanker. Pop and Peek require Len() > 0. None of the
-// methods are safe for concurrent use; the parallel engine calls them
-// under its claim mutex.
-type entrySource interface {
-	// Len reports how many ranked entries remain.
-	Len() int
-	// Pop removes and returns the next entry in visiting order.
-	Pop() rankedEntry
-	// Peek returns the next entry without consuming it.
-	Peek() rankedEntry
-	// Prefix visits up to n upcoming entries in approximate visiting
-	// order without consuming them — the prefetch hook's lookahead.
-	Prefix(n int, fn func(rankedEntry))
-	// All visits every remaining entry in unspecified order (the batch
-	// engine's per-entry bound memo fill).
-	All(fn func(rankedEntry))
-	// Drop discards everything remaining, returning how many entries
-	// were dropped — the prune-break accounting.
-	Drop() int
-	// MaxRemainingOpt returns the maximum optimistic bound among the
-	// remaining entries, or -Inf when none remain — the certificate
-	// epilogue.
-	MaxRemainingOpt() float64
-}
-
-// heapSource adapts the legacy entryQueue to the entrySource surface.
-type heapSource struct {
-	q       entryQueue
-	byBound bool
-}
-
-func (h *heapSource) Len() int          { return len(h.q) }
-func (h *heapSource) Pop() rankedEntry  { return h.q.popMax() }
-func (h *heapSource) Peek() rankedEntry { return h.q[0] }
-
-func (h *heapSource) Prefix(n int, fn func(rankedEntry)) {
-	if n > len(h.q) {
-		n = len(h.q)
-	}
-	for i := 0; i < n; i++ {
-		fn(h.q[i])
-	}
-}
-
-func (h *heapSource) All(fn func(rankedEntry)) {
-	for _, re := range h.q {
-		fn(re)
-	}
-}
-
-func (h *heapSource) Drop() int {
-	n := len(h.q)
-	h.q = h.q[:0]
-	return n
-}
-
-func (h *heapSource) MaxRemainingOpt() float64 {
-	if len(h.q) == 0 {
-		return math.Inf(-1)
-	}
-	if h.byBound {
-		// Heap order is by bound: the root dominates the rest.
-		return h.q[0].opt
-	}
-	max := math.Inf(-1)
-	for _, re := range h.q {
-		if re.opt > max {
-			max = re.opt
-		}
-	}
-	return max
-}
-
-// entryLadder is the bucketed best-first container: items grouped by
-// quantized sort key into buckets whose key ranges are disjoint and
-// strictly descending, each bucket sorted (and, in bound order, its
-// tie keys computed) only when consumption reaches it.
+// entryLadder is the bucketed best-first container every engine
+// consumes ranked entries from: items grouped by quantized sort key
+// into buckets whose key ranges are disjoint and strictly descending,
+// each bucket sorted (and, in bound order, its tie keys computed) only
+// when consumption reaches it. Pop and Peek require Len() > 0. It is
+// not safe for concurrent use.
 type entryLadder struct {
 	items  []rankedEntry // bucket-grouped; bucket b is items[starts[b]:starts[b+1]]
 	starts []int32       // len buckets+1
@@ -301,6 +219,7 @@ type entryLadder struct {
 	sc      *queryScratch // owner; its pre-ladder buffers back the radix scratch
 }
 
+// Len reports how many ranked entries remain.
 func (l *entryLadder) Len() int { return l.left }
 
 // advance positions the cursor on the bucket holding the next item and
@@ -321,7 +240,7 @@ func (l *entryLadder) sortBucket(b int) {
 			seg[i].tie = coordSimilarity(l.f, l.target, seg[i].e.Coord)
 		}
 	}
-	if len(seg) <= radixCutover || l.sc == nil {
+	if len(seg) <= radixCutover {
 		cmpRanked(seg)
 		l.sorted[b] = true
 		return
@@ -344,6 +263,17 @@ func (l *entryLadder) sortBucket(b int) {
 // radixCutover is the segment length below which comparison sort beats
 // the counting passes.
 const radixCutover = 48
+
+// encodeThreshold maps a float64 to a uint64 such that the natural
+// float ordering becomes unsigned integer ordering — the ladder's
+// bucket and radix keys.
+func encodeThreshold(v float64) uint64 {
+	b := math.Float64bits(v)
+	if b&(1<<63) != 0 {
+		return ^b
+	}
+	return b | 1<<63
+}
 
 func cmpRanked(seg []rankedEntry) {
 	// Coordinates are unique within an entry set, so the order is
@@ -491,6 +421,7 @@ func radixMSD(seg []rankedEntry, keys []uint64, tmpE []rankedEntry, tmpK []uint6
 	}
 }
 
+// Pop removes and returns the next entry in visiting order.
 func (l *entryLadder) Pop() rankedEntry {
 	l.advance()
 	re := l.items[l.pos]
@@ -499,15 +430,16 @@ func (l *entryLadder) Pop() rankedEntry {
 	return re
 }
 
+// Peek returns the next entry without consuming it.
 func (l *entryLadder) Peek() rankedEntry {
 	l.advance()
 	return l.items[l.pos]
 }
 
-// Prefix walks upcoming items in raw ladder order — exact within
-// sorted buckets, bucket-grouped beyond, the same flavor of
-// approximation as the heap-array prefix it replaces. It never forces
-// a sort: prefetch lookahead must not pay for ordering the tail.
+// Prefix visits up to n upcoming items without consuming them — the
+// prefetch hook's lookahead. It walks raw ladder order: exact within
+// sorted buckets, bucket-grouped beyond. It never forces a sort:
+// prefetch lookahead must not pay for ordering the tail.
 func (l *entryLadder) Prefix(n int, fn func(rankedEntry)) {
 	end := l.pos + n
 	if end > len(l.items) {
@@ -518,12 +450,16 @@ func (l *entryLadder) Prefix(n int, fn func(rankedEntry)) {
 	}
 }
 
+// All visits every remaining entry in unspecified order (the batch
+// engine's per-entry bound memo fill).
 func (l *entryLadder) All(fn func(rankedEntry)) {
 	for i := l.pos; i < len(l.items); i++ {
 		fn(l.items[i])
 	}
 }
 
+// Drop discards everything remaining, returning how many entries were
+// dropped — the prune-break accounting.
 func (l *entryLadder) Drop() int {
 	n := l.left
 	l.left = 0
@@ -535,6 +471,9 @@ func (l *entryLadder) Drop() int {
 	return n
 }
 
+// MaxRemainingOpt returns the maximum optimistic bound among the
+// remaining entries, or -Inf when none remain — the certificate
+// epilogue.
 func (l *entryLadder) MaxRemainingOpt() float64 {
 	if l.left == 0 {
 		return math.Inf(-1)
@@ -562,18 +501,11 @@ func (l *entryLadder) MaxRemainingOpt() float64 {
 	return max
 }
 
-// rankSource ranks every entry for one single-target query and returns
-// the consumption source: the directory kernel feeding a ladder, or —
-// under LegacyRanker — the naive loop feeding the heap. The scratch
-// owns all transient storage; the source stays valid until the scratch
+// rankSource ranks every entry for one single-target query through
+// the directory kernel and returns the ladder to consume. The scratch
+// owns all transient storage; the ladder stays valid until the scratch
 // is returned to the pool.
-func (t *Table) rankSource(sc *queryScratch, f simfun.Func, overlaps []int, targetCoord signature.Coord, by SortCriterion) entrySource {
-	if LegacyRanker || t.dir == nil {
-		q := t.rankEntries(sc.queue, f, overlaps, targetCoord, by)
-		sc.queue = q[:0]
-		sc.heap = heapSource{q: q, byBound: by == ByOptimisticBound}
-		return &sc.heap
-	}
+func (t *Table) rankSource(sc *queryScratch, f simfun.Func, overlaps []int, targetCoord signature.Coord, by SortCriterion) *entryLadder {
 	start := time.Now()
 	src := t.rankBitsliced(sc, f, overlaps, targetCoord, by)
 	dirRankNanos.Add(time.Since(start).Nanoseconds())
@@ -656,15 +588,8 @@ func (t *Table) rankBitsliced(sc *queryScratch, f simfun.Func, overlaps []int, t
 
 // wrapRanked turns an eagerly ranked item slice (the multi-target
 // path, which averages per-target keys and has every field filled)
-// into the configured source. items must be backed by sc.queue's
-// storage in legacy mode (it is heapified in place).
-func (t *Table) wrapRanked(sc *queryScratch, items []rankedEntry, by SortCriterion) entrySource {
-	if LegacyRanker || t.dir == nil {
-		q := entryQueue(items)
-		q.heapify()
-		sc.heap = heapSource{q: q, byBound: by == ByOptimisticBound}
-		return &sc.heap
-	}
+// into a ladder.
+func (t *Table) wrapRanked(sc *queryScratch, items []rankedEntry, by SortCriterion) *entryLadder {
 	enc := resizeU64(&sc.enc, len(items))
 	encMin, encMax := ^uint64(0), uint64(0)
 	for i := range items {

@@ -2,10 +2,12 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/bits"
 	"math/rand"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -13,6 +15,7 @@ import (
 	"sigtable/internal/pager"
 	"sigtable/internal/signature"
 	"sigtable/internal/simfun"
+	"sigtable/internal/topk"
 	"sigtable/internal/txn"
 )
 
@@ -93,20 +96,21 @@ func checkDirectory(t *testing.T, tab *Table) {
 	}
 }
 
-// mutateTable applies n random Insert/Delete steps (the directory's
-// incremental maintenance path) to the table.
+// mutateTable applies n random InsertSnapshot/DeleteSnapshot steps
+// (the directory's incremental maintenance path) to the table,
+// returning the newest snapshot.
 func mutateTable(rng *rand.Rand, tab *Table, universe, n int) *Table {
 	for i := 0; i < n; i++ {
 		switch rng.Intn(4) {
 		case 0, 1: // inserts twice as likely, so occupancy grows
-			tab.Insert(randomTarget(rng, universe))
+			tab, _ = tab.InsertSnapshot(randomTarget(rng, universe))
 		case 2:
 			if tab.data.Len() > 0 {
-				tab.Delete(txn.TID(rng.Intn(tab.data.Len())))
+				tab, _ = tab.DeleteSnapshot(txn.TID(rng.Intn(tab.data.Len())))
 			}
 		case 3: // batch of inserts
 			for j := 0; j < 3; j++ {
-				tab.Insert(randomTarget(rng, universe))
+				tab, _ = tab.InsertSnapshot(randomTarget(rng, universe))
 			}
 		}
 	}
@@ -135,13 +139,13 @@ func TestDirectoryIncrementalMatchesRebuild(t *testing.T) {
 		}
 		checkDirectory(t, rebuilt)
 
-		mutateTable(rng, rebuilt, universe, 20)
+		rebuilt = mutateTable(rng, rebuilt, universe, 20)
 		checkDirectory(t, rebuilt)
 	}
 }
 
 // FuzzDirectory feeds arbitrary mutation scripts (one op per input
-// byte) through Insert/Delete/Rebuild and asserts the incremental
+// byte) through InsertSnapshot/DeleteSnapshot/Rebuild and asserts the incremental
 // directory always equals the from-scratch recomputation.
 func FuzzDirectory(f *testing.F) {
 	f.Add(int64(1), []byte{0, 1, 2, 3, 0, 0, 4})
@@ -158,14 +162,14 @@ func FuzzDirectory(f *testing.F) {
 		for _, op := range ops {
 			switch op % 5 {
 			case 0, 1:
-				tab.Insert(randomTarget(rng, universe))
+				tab, _ = tab.InsertSnapshot(randomTarget(rng, universe))
 			case 2:
 				if tab.data.Len() > 0 {
-					tab.Delete(txn.TID(rng.Intn(tab.data.Len())))
+					tab, _ = tab.DeleteSnapshot(txn.TID(rng.Intn(tab.data.Len())))
 				}
 			case 3:
 				for j := 0; j < 2+int(op)%3; j++ {
-					tab.Insert(randomTarget(rng, universe))
+					tab, _ = tab.InsertSnapshot(randomTarget(rng, universe))
 				}
 			case 4:
 				nt, err := tab.Rebuild()
@@ -179,8 +183,8 @@ func FuzzDirectory(f *testing.F) {
 	})
 }
 
-// popAll drains a source, returning the exact visiting sequence.
-func popAll(src entrySource) []rankedEntry {
+// popAll drains a ladder, returning the exact visiting sequence.
+func popAll(src *entryLadder) []rankedEntry {
 	out := make([]rankedEntry, 0, src.Len())
 	for src.Len() > 0 {
 		out = append(out, src.Pop())
@@ -188,10 +192,81 @@ func popAll(src entrySource) []rankedEntry {
 	return out
 }
 
+// referenceOrder is the visiting order by definition: every entry
+// ranked with the scalar TargetPlan.Rank keys and the whole set sorted
+// by CompareRanked — no directory kernel, no ladder.
+func referenceOrder(tab *Table, targets []txn.Transaction, f simfun.Func, by SortCriterion) []rankedEntry {
+	plan := NewTargetPlan(tab.part, tab.r, targets, f)
+	out := make([]rankedEntry, len(tab.entries))
+	for i, e := range tab.entries {
+		opt, key, tie := plan.Rank(e.Coord, by)
+		out[i] = rankedEntry{e: e, idx: i, opt: opt, sort: key, tie: tie}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		a, b := out[i], out[j]
+		return CompareRanked(a.sort, a.tie, a.e.Coord, b.sort, b.tie, b.e.Coord)
+	})
+	return out
+}
+
+// referenceSearch is the paper's loop (Figure 3) written out plainly
+// over referenceOrder, scoring through ShardScorer: the yardstick the
+// ladder-driven engines must match field for field.
+func referenceSearch(tab *Table, targets []txn.Transaction, f simfun.Func, opt QueryOptions) Result {
+	order := referenceOrder(tab, targets, f, opt.SortBy)
+	budget := tab.Live()
+	if opt.MaxScanFraction != 0 {
+		budget = max(int(math.Ceil(opt.MaxScanFraction*float64(tab.Live()))), 1)
+	}
+	scorer := NewShardScorer(tab, targets, f)
+	defer scorer.Release()
+	best := topk.New(max(opt.K, 1))
+	var res Result
+	unresolved := math.Inf(-1)
+	for i, re := range order {
+		if th, full := best.Threshold(); full && re.opt <= th {
+			res.EntriesPruned++
+			if opt.SortBy == ByOptimisticBound {
+				res.EntriesPruned += len(order) - i - 1
+				break
+			}
+			continue
+		}
+		res.EntriesScanned++
+		seen := 0
+		scorer.ScanCoord(re.e.Coord, nil, func(id txn.TID, v float64) bool {
+			best.Offer(id, v)
+			res.Scanned++
+			seen++
+			return res.Scanned < budget
+		})
+		if res.Scanned >= budget {
+			if seen < re.e.Count {
+				unresolved = re.opt
+			}
+			for _, rest := range order[i+1:] {
+				if rest.opt > unresolved {
+					unresolved = rest.opt
+				}
+			}
+			break
+		}
+	}
+	res.Neighbors = best.Results()
+	th, full := best.Threshold()
+	res.Certified = full && (math.IsInf(unresolved, -1) || unresolved <= th)
+	res.BestPossible = unresolved
+	if len(res.Neighbors) > 0 && res.Neighbors[0].Value > res.BestPossible {
+		res.BestPossible = res.Neighbors[0].Value
+	}
+	return res
+}
+
 // TestRankSourceOrderIdentity is the sharpest form of the byte-identity
-// property: the bucketed ladder's pop sequence equals the legacy heap's
-// element for element — same entries, same float bits for every key —
-// across similarity functions, sort criteria, and mutation histories.
+// property: the bucketed ladder's pop sequence equals the reference
+// full sort element for element — same entries, same float bits for
+// every key — across similarity functions, sort criteria, and mutation
+// histories.
 func TestRankSourceOrderIdentity(t *testing.T) {
 	prop := func(seed int64, fRaw, byRaw, mutRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -199,7 +274,7 @@ func TestRankSourceOrderIdentity(t *testing.T) {
 		d := randomDataset(rng, 100+rng.Intn(200), universe)
 		part := randomPartition(t, rng, universe, 3+rng.Intn(8))
 		tab := buildTestTable(t, d, part, BuildOptions{ActivationThreshold: 1 + rng.Intn(2)})
-		mutateTable(rng, tab, universe, int(mutRaw)%30)
+		tab = mutateTable(rng, tab, universe, int(mutRaw)%30)
 
 		fs := allSimFuncs()
 		f := fs[int(fRaw)%len(fs)]
@@ -208,40 +283,33 @@ func TestRankSourceOrderIdentity(t *testing.T) {
 			by = ByCoordSimilarity
 		}
 		target := randomTarget(rng, universe)
+		want := referenceOrder(tab, []txn.Transaction{target}, f, by)
 		if ta, ok := f.(simfun.TargetAware); ok {
 			f = ta.Bind(target)
 		}
 		overlaps := tab.part.Overlaps(target, nil)
-		targetCoord := coordOf(tab, target)
+		sc := tab.getScratch()
+		defer tab.putScratch(sc)
+		got := popAll(tab.rankSource(sc, f, overlaps, coordOf(tab, target), by))
 
-		scHeap, scLadder := tab.getScratch(), tab.getScratch()
-		defer tab.putScratch(scHeap)
-		defer tab.putScratch(scLadder)
-
-		LegacyRanker = true
-		heapSeq := popAll(tab.rankSource(scHeap, f, overlaps, targetCoord, by))
-		LegacyRanker = false
-		ladderSeq := popAll(tab.rankSource(scLadder, f, overlaps, targetCoord, by))
-
-		if len(heapSeq) != len(ladderSeq) {
-			t.Logf("length mismatch: heap %d, ladder %d", len(heapSeq), len(ladderSeq))
+		if len(want) != len(got) {
+			t.Logf("length mismatch: reference %d, ladder %d", len(want), len(got))
 			return false
 		}
-		for i := range heapSeq {
-			h, l := heapSeq[i], ladderSeq[i]
-			if h.e != l.e ||
-				math.Float64bits(h.opt) != math.Float64bits(l.opt) ||
-				math.Float64bits(h.sort) != math.Float64bits(l.sort) ||
-				math.Float64bits(h.tie) != math.Float64bits(l.tie) {
-				t.Logf("position %d: heap {%#x opt=%x sort=%x tie=%x}, ladder {%#x opt=%x sort=%x tie=%x}",
-					i, h.e.Coord, math.Float64bits(h.opt), math.Float64bits(h.sort), math.Float64bits(h.tie),
+		for i := range want {
+			w, l := want[i], got[i]
+			if w.e != l.e ||
+				math.Float64bits(w.opt) != math.Float64bits(l.opt) ||
+				math.Float64bits(w.sort) != math.Float64bits(l.sort) ||
+				math.Float64bits(w.tie) != math.Float64bits(l.tie) {
+				t.Logf("position %d: reference {%#x opt=%x sort=%x tie=%x}, ladder {%#x opt=%x sort=%x tie=%x}",
+					i, w.e.Coord, math.Float64bits(w.opt), math.Float64bits(w.sort), math.Float64bits(w.tie),
 					l.e.Coord, math.Float64bits(l.opt), math.Float64bits(l.sort), math.Float64bits(l.tie))
 				return false
 			}
 		}
 		return true
 	}
-	defer func() { LegacyRanker = false }()
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
@@ -255,9 +323,9 @@ func coordOf(tab *Table, target txn.Transaction) (c signatureCoord) {
 // signature package without another import line.
 type signatureCoord = uint64
 
-// identityFields strips a Result to the fields the rankers must
-// reproduce byte-identically; PagesRead, Workers and
-// EntriesSpeculated legitimately reflect execution strategy.
+// identityFields strips a Result to the fields every engine must
+// reproduce byte-identically; PagesRead, Workers and EntriesSpeculated
+// legitimately reflect execution strategy.
 type identityFields struct {
 	Neighbors      string
 	Scanned        int
@@ -285,16 +353,13 @@ func identityOf(t *testing.T, res Result) identityFields {
 	}
 }
 
-// TestQueryByteIdentityAcrossRankers runs the same queries under the
-// legacy heap and the directory ladder across every engine (serial,
-// parallel, batch, multi-target), both page formats plus memory mode,
-// and random mutation interleavings, asserting the deterministic
-// Result fields agree exactly.
+// TestQueryByteIdentityAcrossRankers runs the same queries through
+// every engine driven by the directory ladder (serial, batch,
+// multi-target) and through referenceSearch over the reference order,
+// in both page formats plus memory mode, after random mutation
+// interleavings, with and without a scan budget, asserting the
+// deterministic Result fields agree exactly.
 func TestQueryByteIdentityAcrossRankers(t *testing.T) {
-	defer func(old int) { minParallelLive = old }(minParallelLive)
-	minParallelLive = 0
-	defer func() { LegacyRanker = false }()
-
 	formats := []BuildOptions{
 		{},
 		{PageSize: 128, PageFormat: pager.FormatV1},
@@ -308,7 +373,7 @@ func TestQueryByteIdentityAcrossRankers(t *testing.T) {
 			part := randomPartition(t, rng, universe, 3+rng.Intn(7))
 			bopt.ActivationThreshold = 1 + rng.Intn(2)
 			tab := buildTestTable(t, d, part, bopt)
-			mutateTable(rng, tab, universe, rng.Intn(30))
+			tab = mutateTable(rng, tab, universe, rng.Intn(30))
 
 			f := allSimFuncs()[rng.Intn(len(allSimFuncs()))]
 			targets := []txn.Transaction{
@@ -317,55 +382,33 @@ func TestQueryByteIdentityAcrossRankers(t *testing.T) {
 				randomTarget(rng, universe),
 			}
 			for _, by := range []SortCriterion{ByOptimisticBound, ByCoordSimilarity} {
-				for _, par := range []int{1, 4} {
-					opt := QueryOptions{K: 1 + rng.Intn(4), SortBy: by, Parallelism: par}
-					run := func() ([]Result, Result, []Result) {
-						var single []Result
-						for _, tgt := range targets {
-							res, err := tab.Query(context.Background(), tgt, f, opt)
-							if err != nil {
-								t.Fatal(err)
-							}
-							single = append(single, res)
+				for _, frac := range []float64{0, 0.1} {
+					opt := QueryOptions{K: 1 + rng.Intn(4), SortBy: by, MaxScanFraction: frac}
+					label := fmt.Sprintf("seed %d fmt %d by %v frac %v", seed, fi, by, frac)
+					check := func(what string, got, want Result) {
+						t.Helper()
+						if a, b := identityOf(t, got), identityOf(t, want); !reflect.DeepEqual(a, b) {
+							t.Fatalf("%s %s: engine %+v != reference %+v", label, what, a, b)
 						}
-						multi, err := tab.MultiQuery(context.Background(), targets, f, opt)
+					}
+					batch, err := tab.QueryBatch(context.Background(), targets, f, opt, 1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i, tgt := range targets {
+						want := referenceSearch(tab, []txn.Transaction{tgt}, f, opt)
+						res, err := tab.Query(context.Background(), tgt, f, opt)
 						if err != nil {
 							t.Fatal(err)
 						}
-						batch, err := tab.QueryBatch(context.Background(), targets, f, opt, 1)
-						if err != nil {
-							t.Fatal(err)
-						}
-						return single, multi, batch
+						check(fmt.Sprintf("query %d", i), res, want)
+						check(fmt.Sprintf("batch %d", i), batch[i], want)
 					}
-					LegacyRanker = true
-					s1, m1, b1 := run()
-					LegacyRanker = false
-					s2, m2, b2 := run()
-
-					for i := range s1 {
-						if a, b := identityOf(t, s1[i]), identityOf(t, s2[i]); !reflect.DeepEqual(a, b) {
-							t.Fatalf("seed %d fmt %d by %v par %d query %d: legacy %+v != directory %+v",
-								seed, fi, by, par, i, a, b)
-						}
+					multi, err := tab.MultiQuery(context.Background(), targets, f, opt)
+					if err != nil {
+						t.Fatal(err)
 					}
-					if a, b := identityOf(t, m1), identityOf(t, m2); !reflect.DeepEqual(a, b) {
-						t.Fatalf("seed %d fmt %d by %v par %d multi: legacy %+v != directory %+v", seed, fi, by, par, a, b)
-					}
-					for i := range b1 {
-						if a, b := identityOf(t, b1[i]), identityOf(t, b2[i]); !reflect.DeepEqual(a, b) {
-							t.Fatalf("seed %d fmt %d by %v par %d batch %d: legacy %+v != directory %+v",
-								seed, fi, by, par, i, a, b)
-						}
-					}
-					// The heap path must also equal the serial reference
-					// engine-to-engine (covered elsewhere); here pin the
-					// batch results to the serial ones under the ladder.
-					for i := range s2 {
-						if a, b := identityOf(t, s2[i]), identityOf(t, b2[i]); par == 1 && !reflect.DeepEqual(a, b) {
-							t.Fatalf("seed %d fmt %d by %v: serial %+v != batch %+v", seed, fi, by, a, b)
-						}
-					}
+					check("multi", multi, referenceSearch(tab, targets, f, opt))
 				}
 			}
 			if err := tab.Close(); err != nil {
@@ -398,16 +441,13 @@ func rankBenchSetup(b *testing.B) {
 	})
 }
 
-// BenchmarkEntryRanking compares the legacy per-entry bound loop plus
-// full heapify (naive) against the directory's bit-sliced kernel plus
-// counting-sort ladder (bitsliced), on a 50k-transaction K=15 table.
-// Both variants rank every entry and then pop a 16-entry prefix, the
-// part of the work every query pays before pruning can start.
+// BenchmarkEntryRanking measures the directory's bit-sliced kernel
+// plus counting-sort ladder on a 50k-transaction K=15 table: rank
+// every entry, then pop a 16-entry prefix — the part of the work every
+// query pays before pruning can start.
 func BenchmarkEntryRanking(b *testing.B) {
 	rankBenchSetup(b)
-	run := func(b *testing.B, legacy bool) {
-		defer func(old bool) { LegacyRanker = old }(LegacyRanker)
-		LegacyRanker = legacy
+	b.Run("bitsliced", func(b *testing.B) {
 		t := rankBench.table
 		f := simfun.Jaccard{}
 		b.ReportAllocs()
@@ -420,9 +460,7 @@ func BenchmarkEntryRanking(b *testing.B) {
 			}
 			t.putScratch(sc)
 		}
-	}
-	b.Run("naive", func(b *testing.B) { run(b, true) })
-	b.Run("bitsliced", func(b *testing.B) { run(b, false) })
+	})
 }
 
 // TestDirectoryStatsCounters pins the DirectoryStats surface: slots
@@ -456,7 +494,7 @@ func TestDirectoryStatsCounters(t *testing.T) {
 
 	n := len(tab.entries)
 	for i := 0; i < 50; i++ {
-		tab.Insert(randomTarget(rng, universe))
+		tab, _ = tab.InsertSnapshot(randomTarget(rng, universe))
 	}
 	if got := tab.DirectoryStats().Slots; got != len(tab.entries) || got < n {
 		t.Fatalf("Slots = %d after inserts, entries = %d", got, len(tab.entries))

@@ -55,11 +55,11 @@ func TestFileBackedTable(t *testing.T) {
 	// pages.dat.g1, leaving the original file intact for the stale table.
 	for i := 0; i < 10; i++ {
 		tr := randomTarget(rng, universe)
-		file.Insert(tr)
-		mem.Insert(tr)
+		file, _ = file.InsertSnapshot(tr)
+		mem, _ = mem.InsertSnapshot(tr)
 	}
-	file.Delete(3)
-	mem.Delete(3)
+	file, _ = file.DeleteSnapshot(3)
+	mem, _ = mem.DeleteSnapshot(3)
 	check(randomTarget(rng, universe))
 
 	nf, err := file.Rebuild()

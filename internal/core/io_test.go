@@ -146,7 +146,7 @@ func TestWriteToRejectsTombstones(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	d := randomDataset(rng, 100, 20)
 	table := buildTestTable(t, d, randomPartition(t, rng, 20, 4), BuildOptions{})
-	table.Delete(5)
+	table, _ = table.DeleteSnapshot(5)
 	var buf bytes.Buffer
 	if _, err := table.WriteTo(&buf); err == nil {
 		t.Fatal("table with tombstones persisted")

@@ -21,7 +21,7 @@ func (t *Table) MultiQuery(ctx context.Context, targets []txn.Transaction, f sim
 	if len(targets) == 0 {
 		return Result{}, fmt.Errorf("core: multi-target query needs at least one target")
 	}
-	opt, budget, err := opt.normalized(t.live)
+	opt, err := opt.Normalize()
 	if err != nil {
 		return Result{}, err
 	}
@@ -75,24 +75,20 @@ func (t *Table) MultiQuery(ctx context.Context, targets []txn.Transaction, f sim
 	}
 	src := t.wrapRanked(sc, items, opt.SortBy)
 
-	res := t.runSearch(ctx, src, opt.Parallelism, searchSpec{
-		k:        opt.K,
-		budget:   budget,
-		sortBy:   opt.SortBy,
-		prefetch: t.prefetchHook(ctx, opt.ReadaheadDepth),
-		// Multi-target scoring probes every matcher per candidate, so
-		// it materializes each transaction once rather than fusing N
-		// decode passes; the single-target engines use scanEntryStats.
-		scan: func(e *Entry, reads *atomic.Int64, fn func(id txn.TID, value float64) bool) {
-			t.scanEntry(e, reads, func(id txn.TID, tr txn.Transaction) bool {
-				sum := 0.0
-				for i := range matchers {
-					x, y := matchers[i].matchHamming(tr)
-					sum += fs[i].Score(x, y)
-				}
-				return fn(id, sum*invN)
-			})
-		},
-	})
-	return res, nil
+	// Multi-target scoring probes every matcher per candidate, so it
+	// materializes each transaction once rather than fusing N decode
+	// passes; the single-target engines use scanEntryStats.
+	fr := NewFrontier(ctx, opt, t.live)
+	offer := func(id txn.TID, tr txn.Transaction) bool {
+		sum := 0.0
+		for i := range matchers {
+			x, y := matchers[i].matchHamming(tr)
+			sum += fs[i].Score(x, y)
+		}
+		return fr.Offer(id, sum*invN)
+	}
+	scan := func(e *Entry, reads *atomic.Int64) {
+		t.scanEntry(e, reads, offer)
+	}
+	return searchSerial(fr, src, t.prefetchHook(ctx, opt.ReadaheadDepth), scan), nil
 }

@@ -7,18 +7,16 @@ import (
 )
 
 // prefetchHook builds the per-query callback that feeds the store's
-// prefetch pipeline from a ranked entry source, or nil when prefetch is
+// prefetch pipeline from a ranked entry ladder, or nil when prefetch is
 // off for this query (no store, no prefetcher, or a negative depth
-// request). The callback peeks the source's first depth slots — an
-// approximation of the upcoming pop order that costs nothing to read
-// (the heap-array prefix for the legacy heap, the current ladder rung
-// for the bucketed source) — and offers each entry's page list once per
-// query. requested follows QueryOptions.ReadaheadDepth.
+// request). The callback peeks the ladder's next depth slots — an
+// approximation of the upcoming pop order that costs nothing to read —
+// and offers each entry's page list once per query. requested follows
+// QueryOptions.ReadaheadDepth.
 //
-// The returned closure is not safe for concurrent use; engines call it
-// from one goroutine (serial, batch) or under their claim mutex
-// (parallel).
-func (t *Table) prefetchHook(ctx context.Context, requested int) func(src entrySource) {
+// The returned closure is not safe for concurrent use; the serial and
+// batch engines call it from their one scan goroutine.
+func (t *Table) prefetchHook(ctx context.Context, requested int) func(src *entryLadder) {
 	pf := t.prefetcher()
 	if pf == nil {
 		return nil
@@ -28,7 +26,7 @@ func (t *Table) prefetchHook(ctx context.Context, requested int) func(src entryS
 		return nil
 	}
 	issued := make([]bool, len(t.entries))
-	return func(src entrySource) {
+	return func(src *entryLadder) {
 		var pages []pager.PageID
 		src.Prefix(depth, func(re rankedEntry) {
 			if issued[re.idx] || len(re.e.lists) == 0 {

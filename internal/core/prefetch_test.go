@@ -50,7 +50,7 @@ func TestPrefetchQueryIdentity(t *testing.T) {
 					{K: 5, ReadaheadDepth: 4},
 					{K: 5, ReadaheadDepth: -1},
 					{K: 3, MaxScanFraction: 0.2, ReadaheadDepth: 2},
-					{K: 5, Parallelism: 4, ReadaheadDepth: 8},
+					{K: 5, ReadaheadDepth: 8},
 					{K: 5, SortBy: ByCoordSimilarity, ReadaheadDepth: 1},
 				} {
 					r1, err := plain.Query(ctx, target, f, opt)
@@ -105,9 +105,9 @@ func TestPrefetchBatchAndMultiIdentity(t *testing.T) {
 	}
 }
 
-// TestPrefetchMutationIdentity: inserts and deletes invalidate the
-// pipeline's generation; queries through the mutation sequence must
-// stay identical to the non-prefetching table's.
+// TestPrefetchMutationIdentity: queries through a sequence of snapshot
+// inserts and deletes on a prefetching table must stay identical to
+// the non-prefetching twin's.
 func TestPrefetchMutationIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(63))
 	d := randomDataset(rng, 400, 60)
@@ -140,13 +140,19 @@ func TestPrefetchMutationIdentity(t *testing.T) {
 	check("pristine")
 	for i := 0; i < 40; i++ {
 		tr := randomTarget(rng, 60)
-		if plain.Insert(tr) != pre.Insert(tr) {
+		var id1, id2 txn.TID
+		plain, id1 = plain.InsertSnapshot(tr)
+		pre, id2 = pre.InsertSnapshot(tr)
+		if id1 != id2 {
 			t.Fatal("insert TIDs diverged")
 		}
 	}
 	for i := 0; i < 30; i++ {
 		id := txn.TID(rng.Intn(400))
-		if plain.Delete(id) != pre.Delete(id) {
+		var ok1, ok2 bool
+		plain, ok1 = plain.DeleteSnapshot(id)
+		pre, ok2 = pre.DeleteSnapshot(id)
+		if ok1 != ok2 {
 			t.Fatal("delete outcomes diverged")
 		}
 	}

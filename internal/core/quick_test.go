@@ -7,7 +7,6 @@ import (
 	"testing/quick"
 
 	"sigtable/internal/seqscan"
-	"sigtable/internal/simfun"
 )
 
 // TestQuickBranchAndBoundExact is the repository's central property,
@@ -101,24 +100,5 @@ func BenchmarkBoundsPerEntry(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		bd.bounds(coords[i%len(coords)])
-	}
-}
-
-func BenchmarkRankEntries(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	d := randomDataset(rng, 5000, 60)
-	part := randomPartition(b, rng, 60, 12)
-	table, err := Build(d, part, BuildOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	target := randomTarget(rng, 60)
-	overlaps := part.Overlaps(target, nil)
-	coord := part.Coord(target, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var buf entryQueue
-	for i := 0; i < b.N; i++ {
-		buf = table.rankEntries(buf, simfun.Jaccard{}, overlaps, coord, ByOptimisticBound)
 	}
 }

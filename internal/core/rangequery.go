@@ -50,6 +50,13 @@ type RangeResult struct {
 	Interrupted bool
 }
 
+// minParallelLive gates the parallel range scan: below this many live
+// transactions a range query is microseconds of work and goroutine
+// startup would dominate, so the serial path runs regardless of the
+// requested parallelism. A variable (not a constant) so tests can
+// force the parallel path onto small fixtures.
+var minParallelLive = 4096
+
 // RangeQuery finds all transactions whose similarity to the target is
 // at least t_i under every function f_i (§4.3). An entry is pruned as
 // soon as any constraint's optimistic bound falls below its threshold:

@@ -4,6 +4,8 @@ import (
 	"context"
 	"math/rand"
 	"testing"
+	"testing/quick"
+	"time"
 
 	"sigtable/internal/seqscan"
 	"sigtable/internal/simfun"
@@ -95,5 +97,113 @@ func TestRangeQueryPrunes(t *testing.T) {
 	}
 	if res.EntriesPruned != table.NumEntries() {
 		t.Fatalf("pruned %d of %d entries", res.EntriesPruned, table.NumEntries())
+	}
+}
+
+// forceParallel drops the live-size gate so the parallel range scan
+// runs on small test fixtures, restoring it when the test finishes.
+func forceParallel(t testing.TB) {
+	old := minParallelLive
+	minParallelLive = 0
+	t.Cleanup(func() { minParallelLive = old })
+}
+
+// TestQuickParallelRangeMatchesSerial: the range scan partitions
+// entries instead of replaying an order, but its merged result must
+// still be identical to the serial scan's.
+func TestQuickParallelRangeMatchesSerial(t *testing.T) {
+	forceParallel(t)
+	prop := func(seed int64, thRaw, workersRaw uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		universe := 20 + rng.Intn(20)
+		d := randomDataset(rng, 150+rng.Intn(300), universe)
+		part := randomPartition(t, rng, universe, 5)
+		table, err := Build(d, part, BuildOptions{})
+		if err != nil {
+			return false
+		}
+		target := randomTarget(rng, universe)
+		cs := []RangeConstraint{
+			{F: simfun.Match{}, Threshold: float64(1 + int(thRaw)%4)},
+			{F: simfun.Jaccard{}, Threshold: 0.05},
+		}
+
+		serial, err := table.RangeQuery(context.Background(), target, cs, RangeOptions{Parallelism: 1})
+		if err != nil {
+			return false
+		}
+		parallel, err := table.RangeQuery(context.Background(), target, cs, RangeOptions{Parallelism: 2 + int(workersRaw)%6})
+		if err != nil {
+			return false
+		}
+		if len(serial.TIDs) != len(parallel.TIDs) {
+			return false
+		}
+		for i := range serial.TIDs {
+			if serial.TIDs[i] != parallel.TIDs[i] {
+				return false
+			}
+		}
+		return serial.Scanned == parallel.Scanned &&
+			serial.EntriesScanned == parallel.EntriesScanned &&
+			serial.EntriesPruned == parallel.EntriesPruned
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestParallelCancellation: the parallel range scan — the one search
+// in this package that fans out over goroutines — must honor context
+// cancellation before it starts and at arbitrary points mid-flight,
+// returning a sane partial result without deadlocking or leaking
+// workers. A run the cancellation missed must equal the serial scan.
+func TestParallelCancellation(t *testing.T) {
+	forceParallel(t)
+	rng := rand.New(rand.NewSource(11))
+	universe := 40
+	d := randomDataset(rng, 3000, universe)
+	part := randomPartition(t, rng, universe, 8)
+	table := buildTestTable(t, d, part, BuildOptions{})
+	target := randomTarget(rng, universe)
+	cs := []RangeConstraint{{F: simfun.Jaccard{}, Threshold: 0.1}}
+
+	res, err := table.RangeQuery(cancelledContext(), target, cs, RangeOptions{Parallelism: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Interrupted || res.Scanned != 0 {
+		t.Fatalf("pre-cancelled parallel range query did work: %+v", res)
+	}
+
+	serial, err := table.RangeQuery(context.Background(), target, cs, RangeOptions{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inSerial := make(map[txn.TID]bool, len(serial.TIDs))
+	for _, id := range serial.TIDs {
+		inSerial[id] = true
+	}
+	for i := 0; i < 30; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		timer := time.AfterFunc(time.Duration(i)*20*time.Microsecond, cancel)
+		res, err := table.RangeQuery(ctx, target, cs, RangeOptions{Parallelism: 4})
+		timer.Stop()
+		cancel()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Scanned > d.Len() {
+			t.Fatalf("scanned %d > dataset size %d", res.Scanned, d.Len())
+		}
+		for _, id := range res.TIDs {
+			if !inSerial[id] {
+				t.Fatalf("interrupted=%v result holds %d, which the serial scan rejects", res.Interrupted, id)
+			}
+		}
+		if !res.Interrupted && (len(res.TIDs) != len(serial.TIDs) || res.Scanned != serial.Scanned ||
+			res.EntriesScanned != serial.EntriesScanned || res.EntriesPruned != serial.EntriesPruned) {
+			t.Fatalf("uninterrupted parallel result differs from serial:\nparallel %+v\nserial   %+v", res, serial)
+		}
 	}
 }

@@ -7,21 +7,19 @@ import (
 
 // Per-query buffer reuse. A branch-and-bound query needs three
 // transient allocations whose size depends on the table, not on k: the
-// ranked entry queue (one slot per occupied supercoordinate), the
+// ranked entry ladder (one slot per occupied supercoordinate), the
 // K-wide overlap slice, and — for the bitmap scoring kernel — a
 // membership bitmap over the item universe. At serving rates these
 // dominate the per-query allocation profile, so the Table pools all
-// three; a steady-state query allocates O(k) for its result and
-// nothing else.
+// three; a steady-state query allocates O(k) for its result and a
+// handful of fixed per-search objects, nothing per entry.
 
 // queryScratch bundles the per-query slices that are reused across
-// queries of one table: the legacy heap storage, the overlap slice,
-// and the bit-sliced ranker's accumulators and ladder storage
-// (directory.go). One scratch serves one query (or one batch target)
-// at a time; the entrySource built from it stays valid until the
-// scratch is returned.
+// queries of one table: the overlap slice and the bit-sliced ranker's
+// accumulators and ladder storage (directory.go). One scratch serves
+// one query (or one batch target) at a time; the ladder built from it
+// stays valid until the scratch is returned.
 type queryScratch struct {
-	queue    entryQueue
 	overlaps []int
 
 	// Bit-sliced ranking state: per-slot bound accumulators, ranked
@@ -37,7 +35,6 @@ type queryScratch struct {
 	cursors  []int32
 	sortedBk []bool
 	ladder   entryLadder
-	heap     heapSource
 }
 
 func (t *Table) getScratch() *queryScratch {
@@ -64,7 +61,7 @@ const maxMaskBits = 1 << 26
 // against one fixed target, using a pooled membership bitmap when the
 // universe is small enough and the sorted merge otherwise. The bitmap
 // is read-only after newMatcher returns, so one matcher may be shared
-// by concurrent scan workers of the same query.
+// by concurrent scoring goroutines of the same query.
 type matcher struct {
 	target txn.Transaction
 	mask   *bitset.Set // nil: merge kernel
@@ -101,18 +98,4 @@ func (m *matcher) matchHamming(tr txn.Transaction) (match, hamming int) {
 		return txn.MatchHammingBits(m.mask, len(m.target), tr)
 	}
 	return txn.MatchHamming(m.target, tr)
-}
-
-// getEntryBuf and putEntryBuf pool the scored-candidate buffers the
-// parallel search workers fill (see parallel_search.go).
-func (t *Table) getEntryBuf() *entryBuf {
-	if b, _ := t.shared.bufs.Get().(*entryBuf); b != nil {
-		return b
-	}
-	return &entryBuf{}
-}
-
-func (t *Table) putEntryBuf(b *entryBuf) {
-	*b = entryBuf{cands: b.cands[:0]}
-	t.shared.bufs.Put(b)
 }

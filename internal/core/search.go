@@ -3,8 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
-	"runtime"
 	"sync/atomic"
 
 	"sigtable/internal/signature"
@@ -46,13 +44,6 @@ type QueryOptions struct {
 	MaxScanFraction float64
 	// SortBy selects the entry visiting order.
 	SortBy SortCriterion
-	// Parallelism bounds the goroutines scanning entries for this one
-	// query. 0 selects GOMAXPROCS; 1 forces the serial path. Results
-	// are identical at every setting — the parallel engine commits
-	// entries in the exact serial visiting order — so this is purely a
-	// latency knob. The similarity function must be safe for concurrent
-	// Score calls when Parallelism != 1 (every built-in is).
-	Parallelism int
 	// ReadaheadDepth controls how many upcoming ranked entries the
 	// search offers to the store's prefetch pipeline (disk mode with a
 	// prefetcher attached; ignored otherwise). 0 uses the pipeline's
@@ -60,29 +51,6 @@ type QueryOptions struct {
 	// query, a positive value fixes the depth. Results are identical
 	// at every setting — prefetch only warms the buffer pool.
 	ReadaheadDepth int
-}
-
-func (o QueryOptions) normalized(n int) (QueryOptions, int, error) {
-	if o.K == 0 {
-		o.K = 1
-	}
-	if o.K < 0 {
-		return o, 0, fmt.Errorf("core: k=%d must be positive", o.K)
-	}
-	if o.Parallelism < 0 {
-		return o, 0, fmt.Errorf("core: parallelism %d must be non-negative", o.Parallelism)
-	}
-	budget := n
-	if o.MaxScanFraction != 0 {
-		if o.MaxScanFraction < 0 || o.MaxScanFraction > 1 {
-			return o, 0, fmt.Errorf("core: scan fraction %v outside (0, 1]", o.MaxScanFraction)
-		}
-		budget = int(math.Ceil(o.MaxScanFraction * float64(n)))
-		if budget < 1 {
-			budget = 1
-		}
-	}
-	return o, budget, nil
 }
 
 // Result reports a query's answer and its cost.
@@ -102,14 +70,14 @@ type Result struct {
 	// (disk mode only). It is accounted per query, so it stays accurate
 	// when queries run concurrently.
 	PagesRead int64
-	// Workers is the number of scan goroutines the search actually
-	// used (1 for a serial search).
+	// Workers is the number of goroutines the search used: 1 for a
+	// single-table search, the scoring fan-out for a shared-scan batch,
+	// the shard count for a sharded one.
 	Workers int
-	// EntriesSpeculated counts entries a parallel search scanned ahead
-	// of the commit frontier whose work was then discarded because the
-	// search resolved first (budget exhausted, prune break, or
-	// cancellation). Always 0 for a serial search; the wasted-work
-	// metric for tuning Parallelism.
+	// EntriesSpeculated counts entries a sharded search's workers
+	// scored ahead of the coordinator whose work was then discarded
+	// because the search resolved first (budget exhausted, prune break,
+	// or cancellation). Always 0 for a single-table search.
 	EntriesSpeculated int
 	// Certified reports that the result is provably exact: every
 	// unexplored entry's optimistic bound is at most the k-th best
@@ -150,10 +118,10 @@ type rankedEntry struct {
 
 // rankedBefore is the visiting order: decreasing sort key, ties broken
 // by decreasing supercoordinate similarity, then coordinate. Shared by
-// the per-query heap and the batch engine's cross-target entry picking.
-// Optimistic bounds tie in droves (hamming yields few distinct D_opt
-// values, and every superset of the target's coordinate bounds at
-// distance 0). Among ties, visit the entry whose activation pattern
+// the ladder's bucket sorts and the batch engine's cross-target entry
+// picking. Optimistic bounds tie in droves (hamming yields few distinct
+// D_opt values, and every superset of the target's coordinate bounds
+// at distance 0). Among ties, visit the entry whose activation pattern
 // most resembles the target's first: its transactions are the
 // likeliest close matches, which raises the pessimistic bound early
 // and drives both pruning and early-termination accuracy. The actual
@@ -163,206 +131,34 @@ func rankedBefore(a, b rankedEntry) bool {
 	return CompareRanked(a.sort, a.tie, a.e.Coord, b.sort, b.tie, b.e.Coord)
 }
 
-// entryQueue is a max-heap of rankedEntry, ordered by (sort, tie,
-// coord). Most queries prune after visiting a small prefix of the
-// order, so lazily popping a heap beats fully sorting all occupied
-// entries (the dominant cost at scale). The heap is hand-rolled rather
-// than container/heap to keep pops allocation-free.
-type entryQueue []rankedEntry
-
-func (q entryQueue) Len() int { return len(q) }
-
-func (q entryQueue) before(i, j int) bool {
-	return rankedBefore(q[i], q[j])
-}
-
-// init heapifies the slice in O(n).
-func (q entryQueue) heapify() {
-	for i := len(q)/2 - 1; i >= 0; i-- {
-		q.siftDown(i)
-	}
-}
-
-func (q entryQueue) siftDown(i int) {
-	n := len(q)
-	for {
-		l, r := 2*i+1, 2*i+2
-		best := i
-		if l < n && q.before(l, best) {
-			best = l
-		}
-		if r < n && q.before(r, best) {
-			best = r
-		}
-		if best == i {
-			return
-		}
-		q[i], q[best] = q[best], q[i]
-		i = best
-	}
-}
-
-// popMax removes and returns the front entry.
-func (q *entryQueue) popMax() rankedEntry {
-	old := *q
-	top := old[0]
-	n := len(old) - 1
-	old[0] = old[n]
-	*q = old[:n]
-	(*q).siftDown(0)
-	return top
-}
-
-// rankEntries computes bounds for all entries and heapifies them in
-// visiting order, reusing buf's storage when it is large enough (the
-// queue is one slot per occupied entry — the dominant per-query
-// allocation at scale, hence pooled via queryScratch). This is the
-// legacy ranking path — the naive O(entries×K) sweep the directory's
-// bit-sliced kernel replaces (directory.go) — kept as the A/B
-// reference the byte-identity property tests compare against.
-func (t *Table) rankEntries(buf entryQueue, f simfun.Func, overlaps []int, targetCoord signature.Coord, by SortCriterion) entryQueue {
-	b := t.newBounder(overlaps)
-	q := buf
-	if cap(q) < len(t.entries) {
-		q = make(entryQueue, len(t.entries))
-	} else {
-		q = q[:len(t.entries)]
-	}
-	for i, e := range t.entries {
-		bd := b.bounds(e.Coord)
-		opt := f.Score(bd.MatchOpt, bd.DistOpt)
-		sim := coordSimilarity(f, targetCoord, e.Coord)
-		key := opt
-		if by == ByCoordSimilarity {
-			key = sim
-		}
-		q[i] = rankedEntry{e: e, idx: i, opt: opt, sort: key, tie: sim}
-	}
-	q.heapify()
-	return q
-}
-
-// searchSpec carries one search's resolved parameters into the
-// execution engines. scan visits an entry's live transactions as
-// (TID, similarity value) pairs — single-target queries route it
-// through the fused decode-and-score path (scanEntryStats), multi-
-// target ones through the materializing scan. It must be safe for
-// concurrent calls when the parallel engine may run (Parallelism != 1).
-type searchSpec struct {
-	k      int
-	budget int
-	sortBy SortCriterion
-	scan   func(e *Entry, reads *atomic.Int64, fn func(id txn.TID, value float64) bool)
-	// prefetch, when non-nil, is called with the remaining ranked
-	// source right before an entry is scanned; it offers the pages of
-	// the next few upcoming entries to the store's prefetch pipeline.
-	// The serial and batch engines call it from their single scan
-	// goroutine; the parallel engine calls it under its claim mutex.
-	prefetch func(src entrySource)
-}
-
-// minParallelLive gates the parallel engine: below this many live
-// transactions a search is microseconds of work and goroutine startup
-// would dominate, so the serial path runs regardless of the requested
-// parallelism. A variable (not a constant) so tests can force the
-// parallel engine onto small fixtures.
-var minParallelLive = 4096
-
-// runSearch drives the branch-and-bound search of Figure 3 over a
-// ranked entry source, dispatching between the serial loop and the
-// parallel engine (parallel_search.go). Both produce identical
-// results — the parallel engine commits entries in the exact serial
-// pop order and replays the serial prune/offer/budget decisions at
-// the commit frontier — so the choice is purely a latency matter.
-func (t *Table) runSearch(ctx context.Context, src entrySource, parallelism int, sp searchSpec) Result {
-	workers := parallelism
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > src.Len() {
-		workers = src.Len()
-	}
-	// A context that is already dead does zero work either way; the
-	// serial path handles it without spawning anything.
-	if workers > 1 && t.live >= minParallelLive && ctx.Err() == nil {
-		return t.searchParallel(ctx, src, workers, sp)
-	}
-	return t.searchSerial(ctx, src, sp)
-}
-
-// searchSerial is the single-goroutine branch-and-bound loop: pop the
-// most promising entry, prune it if its optimistic bound cannot beat
-// the k-th best found, otherwise scan its transactions through score.
-// Cancellation is checked between entry visits and every
-// cancelCheckInterval transactions within one, so a deadline aborts
-// mid-scan with whatever was found so far.
-func (t *Table) searchSerial(ctx context.Context, src entrySource, sp searchSpec) Result {
-	res := Result{Workers: 1}
+// searchSerial is the branch-and-bound loop of Figure 3 over a ranked
+// entry ladder: pop the most promising entry, prune it if its
+// optimistic bound cannot beat the k-th best found, otherwise scan its
+// transactions into the frontier. scan must feed every live
+// transaction of the entry to offer and stop when offer returns false;
+// Query and MultiQuery build offer and scan once per search, so the
+// loop allocates nothing per entry. prefetch, when non-nil, offers the
+// next few upcoming entries' pages to the store's prefetch pipeline
+// right before an entry is scanned. Cancellation is checked between
+// entries and every cancelCheckInterval transactions within one, so a
+// deadline aborts mid-scan with whatever was found so far.
+func searchSerial(fr *Frontier, src *entryLadder, prefetch func(*entryLadder), scan func(e *Entry, reads *atomic.Int64)) Result {
 	var reads atomic.Int64
-
-	best := topk.New(sp.k)
-	partialOpt := math.Inf(-1) // bound of an entry cut short by termination
-	interrupted := ctx.Err() != nil
-
-	for !interrupted && src.Len() > 0 {
+	for fr.Live() && src.Len() > 0 {
 		re := src.Pop()
-		if threshold, full := best.Threshold(); full && re.opt <= threshold {
-			if sp.sortBy == ByOptimisticBound {
-				// Ordered by bound: everything still queued is
-				// prunable too.
-				res.EntriesPruned += 1 + src.Drop()
-				break
-			}
-			res.EntriesPruned++
+		if fr.Prune(re.opt, src.Drop) {
 			continue
 		}
-		if sp.prefetch != nil {
-			sp.prefetch(src)
+		if prefetch != nil {
+			prefetch(src)
 		}
-		res.EntriesScanned++
-		stop := false
-		inEntry := 0
-		sp.scan(re.e, &reads, func(id txn.TID, v float64) bool {
-			best.Offer(id, v)
-			res.Scanned++
-			inEntry++
-			if res.Scanned >= sp.budget {
-				stop = true
-				return false
-			}
-			if res.Scanned%cancelCheckInterval == 0 && ctx.Err() != nil {
-				interrupted = true
-				return false
-			}
-			return true
-		})
-		if stop || interrupted {
-			// The budget (or deadline) ran out inside this entry; any
-			// unexamined transactions are still bounded by its
-			// optimistic bound.
-			if inEntry < re.e.Count {
-				partialOpt = re.opt
-			}
-			break
-		}
-		interrupted = ctx.Err() != nil
+		fr.Enter(re.opt, re.e.Count)
+		scan(re.e, &reads)
+		fr.Leave()
 	}
-
-	// Optimality certificate over whatever was not resolved.
-	maxRemaining := partialOpt
-	if v := src.MaxRemainingOpt(); v > maxRemaining {
-		maxRemaining = v
-	}
-
-	res.Neighbors = best.Results()
-	res.Interrupted = interrupted
-	threshold, full := best.Threshold()
-	res.Certified = full && (math.IsInf(maxRemaining, -1) || maxRemaining <= threshold)
-	res.BestPossible = maxRemaining
-	if len(res.Neighbors) > 0 && res.Neighbors[0].Value > res.BestPossible {
-		res.BestPossible = res.Neighbors[0].Value
-	}
+	res := fr.Finish(src.MaxRemainingOpt())
 	res.PagesRead = reads.Load()
+	res.Workers = 1
 	return res
 }
 
@@ -375,7 +171,7 @@ func (t *Table) searchSerial(ctx context.Context, src entrySource, sp searchSpec
 // Interrupted set and, in general, Certified false. An error is
 // reserved for invalid inputs; a cancelled search is not an error.
 func (t *Table) Query(ctx context.Context, target txn.Transaction, f simfun.Func, opt QueryOptions) (Result, error) {
-	opt, budget, err := opt.normalized(t.live)
+	opt, err := opt.Normalize()
 	if err != nil {
 		return Result{}, err
 	}
@@ -394,18 +190,14 @@ func (t *Table) Query(ctx context.Context, target txn.Transaction, f simfun.Func
 
 	m := t.newMatcher(target)
 	defer t.releaseMatcher(m)
-	res := t.runSearch(ctx, src, opt.Parallelism, searchSpec{
-		k:        opt.K,
-		budget:   budget,
-		sortBy:   opt.SortBy,
-		prefetch: t.prefetchHook(ctx, opt.ReadaheadDepth),
-		scan: func(e *Entry, reads *atomic.Int64, fn func(id txn.TID, value float64) bool) {
-			t.scanEntryStats(e, &m, reads, func(id txn.TID, x, y int) bool {
-				return fn(id, f.Score(x, y))
-			})
-		},
-	})
-	return res, nil
+	fr := NewFrontier(ctx, opt, t.live)
+	offer := func(id txn.TID, x, y int) bool {
+		return fr.Offer(id, f.Score(x, y))
+	}
+	scan := func(e *Entry, reads *atomic.Int64) {
+		t.scanEntryStats(e, &m, reads, offer)
+	}
+	return searchSerial(fr, src, t.prefetchHook(ctx, opt.ReadaheadDepth), scan), nil
 }
 
 // Nearest is shorthand for a run-to-completion single-nearest-neighbor

@@ -11,19 +11,18 @@ import (
 	"sigtable/internal/txn"
 )
 
-// Shard-engine primitives. The sharded index (internal/shard) replays
-// the serial branch-and-bound loop of searchSerial at a coordinator
-// while per-shard workers score their entries speculatively. For the
-// replay to be byte-identical to a single-table search, the coordinator
-// needs the exact same ranking keys, visiting order, prune predicate
-// and cancellation cadence as this package — so those pieces are
-// exported here as small, target-bound "plans" rather than re-derived
-// (and inevitably diverging) in the shard package.
+// Shard-engine primitives. The sharded index (internal/shard) drives
+// the branch-and-bound loop at a coordinator (through Frontier, the
+// loop's bookkeeping every engine shares) while per-shard workers
+// score their entries speculatively. For the replay to be
+// byte-identical to a single-table search, the coordinator needs the
+// exact same ranking keys and visiting order as this package — so
+// those pieces are exported here as small, target-bound "plans" rather
+// than re-derived (and inevitably diverging) in the shard package.
 
 // CancelCheckEvery is the number of transaction scans between context
-// cancellation checks inside one entry (cancelCheckInterval). The
-// sharded coordinator must check at the same cadence or an interrupted
-// search would stop at a different transaction than the serial loop.
+// cancellation checks inside one entry (cancelCheckInterval); shard
+// workers poll their stop flag at the same cadence.
 const CancelCheckEvery = cancelCheckInterval
 
 // EntrySummary is a snapshot of one occupied supercoordinate: its
@@ -53,7 +52,7 @@ func (t *Table) EntrySummaries(dst []EntrySummary) []EntrySummary {
 // ranking keys: decreasing sort key, ties broken by decreasing
 // supercoordinate similarity, then increasing coordinate. It reports
 // whether entry a is visited before entry b. rankedBefore (the
-// in-package heap order) delegates here, so the two cannot drift.
+// in-package order) delegates here, so the two cannot drift.
 func CompareRanked(sortA, tieA float64, coordA signature.Coord, sortB, tieB float64, coordB signature.Coord) bool {
 	if sortA != sortB {
 		return sortA > sortB
@@ -103,7 +102,7 @@ func NewTargetPlan(part *signature.Partition, r int, targets []txn.Transaction, 
 // Rank computes one coordinate's keys: the optimistic bound (always
 // the prune key), the sort key for the chosen criterion, and the
 // tie-break key. The single-target path avoids the averaging loop so
-// its floats are bit-identical to rankEntries'.
+// its floats are bit-identical to the directory kernel's.
 func (p *TargetPlan) Rank(c signature.Coord, by SortCriterion) (opt, sortKey, tie float64) {
 	if len(p.fs) == 1 {
 		bd := p.bounders[0].bounds(c)
@@ -142,7 +141,7 @@ func (p *TargetPlan) TargetCoord() signature.Coord { return p.coords[0] }
 type RankedStream struct {
 	t      *Table
 	sc     *queryScratch
-	src    entrySource
+	src    *entryLadder
 	issued []bool
 }
 
@@ -151,7 +150,7 @@ type RankedStream struct {
 // order restricted to this table's coordinates.
 func (t *Table) NewRankedStream(p *TargetPlan, by SortCriterion) *RankedStream {
 	sc := t.getScratch()
-	var src entrySource
+	var src *entryLadder
 	if len(p.fs) == 1 {
 		src = t.rankSource(sc, p.fs[0], p.bounders[0].overlaps, p.coords[0], by)
 	} else {
@@ -252,8 +251,7 @@ func (p *RangePlan) Prunable(c signature.Coord) bool {
 }
 
 // ShardScorer scans and scores one table's entries for a fixed target
-// set, producing the same float values searchSerial's score closure
-// would. It holds pooled matchers; callers must Release it.
+// set, producing the same float values Query and MultiQuery score. It holds pooled matchers; callers must Release it.
 type ShardScorer struct {
 	t        *Table
 	fs       []simfun.Func
@@ -294,8 +292,7 @@ func (s *ShardScorer) ScanCoord(c signature.Coord, reads *atomic.Int64, fn func(
 	}
 	e := s.t.entries[slot]
 	if len(s.fs) == 1 {
-		// Single target: fuse decode and scoring, like Query's serial
-		// and parallel engines.
+		// Single target: fuse decode and scoring, like Query.
 		s.t.scanEntryStats(e, &s.matchers[0], reads, func(id txn.TID, x, y int) bool {
 			return fn(id, s.fs[0].Score(x, y))
 		})

@@ -29,8 +29,8 @@ import (
 // Cache effects are scoped to the mutated entry: the pager's pages are
 // write-once, so decodes of other entries' lists cannot have gone
 // stale, and only the mutated entry's list segments are evicted
-// (Store.InvalidateList) instead of the legacy protocol's global
-// generation bump that empties the whole decode cache on every write.
+// (Store.InvalidateList) rather than emptying the whole decode cache on
+// every write.
 
 // InsertSnapshot adds a transaction, returning a derived table that
 // contains it and the assigned TID. The receiver is unchanged and
@@ -69,9 +69,7 @@ func (t *Table) InsertSnapshot(tr txn.Transaction) (*Table, txn.TID) {
 		}
 		byCoord[coord] = slot
 		nt.byCoord = byCoord
-		if t.dir != nil {
-			nt.dir = t.dir.withSlot(coord)
-		}
+		nt.dir = t.dir.withSlot(coord)
 	} else {
 		old := t.entries[slot]
 		e = &Entry{

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"sigtable/internal/pager"
+	"sigtable/internal/seqscan"
 	"sigtable/internal/simfun"
 	"sigtable/internal/txn"
 )
@@ -153,65 +154,58 @@ func TestSnapshotDeleteIsolation(t *testing.T) {
 	}
 }
 
-// TestSnapshotMatchesLegacy: a table maintained by the snapshot
-// protocol answers exactly like one maintained by the legacy in-place
-// protocol over the same mutation script, in every storage mode.
-func TestSnapshotMatchesLegacy(t *testing.T) {
+// TestSnapshotMatchesOracle: a table maintained by the snapshot
+// protocol over a random insert/delete script answers, rank by rank,
+// like a sequential scan over its live transactions, in every storage
+// mode, with the same cost counters on every repeat of a query.
+func TestSnapshotMatchesOracle(t *testing.T) {
 	for _, v := range snapshotVariants() {
 		t.Run(v.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(13))
 			d := randomDataset(rng, 300, 30)
-			part := randomPartition(t, rng, 30, 5)
-			d2 := txn.NewDataset(30)
-			for i := 0; i < d.Len(); i++ {
-				d2.Append(d.Get(txn.TID(i)).Clone())
-			}
-			legacy := buildTestTable(t, d, part, v.opt)
-			snap := buildTestTable(t, d2, part, v.opt)
+			snap := buildTestTable(t, d, randomPartition(t, rng, 30, 5), v.opt)
 
 			opRng := rand.New(rand.NewSource(14))
+			live := 300
 			for i := 0; i < 120; i++ {
 				if i%4 == 3 {
 					id := txn.TID(opRng.Intn(300))
-					la := legacy.Delete(id)
-					nt, sa := snap.DeleteSnapshot(id)
-					if la != sa {
-						t.Fatalf("op %d: Delete(%d) legacy=%v snapshot=%v", i, id, la, sa)
+					wasLive := !snap.IsDeleted(id)
+					nt, ok := snap.DeleteSnapshot(id)
+					if ok != wasLive {
+						t.Fatalf("op %d: DeleteSnapshot(%d) = %v, want %v", i, id, ok, wasLive)
+					}
+					if ok {
+						live--
 					}
 					snap = nt
 				} else {
-					tr := randomTarget(opRng, 30)
-					lid := legacy.Insert(tr)
-					nt, sid := snap.InsertSnapshot(tr)
-					if lid != sid {
-						t.Fatalf("op %d: insert TIDs diverge: %d vs %d", i, lid, sid)
+					nt, id := snap.InsertSnapshot(randomTarget(opRng, 30))
+					if int(id) != snap.Len() {
+						t.Fatalf("op %d: insert TID %d, want %d", i, id, snap.Len())
 					}
+					live++
 					snap = nt
 				}
 			}
-			if legacy.Live() != snap.Live() || legacy.Len() != snap.Len() {
-				t.Fatalf("sizes diverge: legacy %d/%d, snapshot %d/%d",
-					legacy.Live(), legacy.Len(), snap.Live(), snap.Len())
+			if snap.Live() != live {
+				t.Fatalf("Live = %d, want %d", snap.Live(), live)
 			}
+			alive := liveDataset(snap)
 			for q := 0; q < 15; q++ {
 				target := randomTarget(opRng, 30)
 				for _, f := range allSimFuncs() {
-					a, err := legacy.Query(context.Background(), target, f, QueryOptions{K: 5})
+					a, err := snap.Query(context.Background(), target, f, QueryOptions{K: 5})
 					if err != nil {
 						t.Fatal(err)
 					}
+					checkOracle(t, f.Name(), a, seqscan.KNearest(alive, target, f, 5))
 					b, err := snap.Query(context.Background(), target, f, QueryOptions{K: 5})
 					if err != nil {
 						t.Fatal(err)
 					}
-					if a.Scanned != b.Scanned || a.EntriesScanned != b.EntriesScanned ||
-						a.EntriesPruned != b.EntriesPruned || len(a.Neighbors) != len(b.Neighbors) {
-						t.Fatalf("%s: cost diverges: %+v vs %+v", f.Name(), a, b)
-					}
-					for i := range a.Neighbors {
-						if a.Neighbors[i] != b.Neighbors[i] {
-							t.Fatalf("%s: neighbors diverge: %v vs %v", f.Name(), a.Neighbors, b.Neighbors)
-						}
+					if !sameResult(t, a, b) {
+						t.Fatalf("%s: repeat query diverges", f.Name())
 					}
 				}
 			}

@@ -11,7 +11,7 @@ import (
 
 // TestQuickCachedScansNeverStale is the decode-cache staleness
 // property: a disk-backed table with the cache attached, mutated by an
-// arbitrary interleaving of Insert, Delete and Rebuild (the core of
+// arbitrary interleaving of InsertSnapshot, DeleteSnapshot and Rebuild (the core of
 // Compact), must answer every query — including repeat queries served
 // from cached decodes, and shared-scan batches — identically to a twin
 // memory-mode table receiving the same mutations. A missed invalidation
@@ -46,7 +46,7 @@ func TestQuickCachedScansNeverStale(t *testing.T) {
 		}
 		fs := allSimFuncs()
 		f := fs[int(fRaw)%len(fs)]
-		opt := QueryOptions{K: 3, Parallelism: 1}
+		opt := QueryOptions{K: 3}
 
 		check := func() bool {
 			tgt := randomTarget(rng, universe)
@@ -90,11 +90,14 @@ func TestQuickCachedScansNeverStale(t *testing.T) {
 			switch rng.Intn(5) {
 			case 0, 1:
 				tr := randomTarget(rng, universe)
-				mem.Insert(tr)
-				disk.Insert(tr)
+				mem, _ = mem.InsertSnapshot(tr)
+				disk, _ = disk.InsertSnapshot(tr)
 			case 2, 3:
 				id := txn.TID(rng.Intn(mem.Len()))
-				if mem.Delete(id) != disk.Delete(id) {
+				var okMem, okDisk bool
+				mem, okMem = mem.DeleteSnapshot(id)
+				disk, okDisk = disk.DeleteSnapshot(id)
+				if okMem != okDisk {
 					t.Logf("twin tables disagree on deleting %d", id)
 					return false
 				}

@@ -142,9 +142,8 @@ type tableShared struct {
 	// Per-query buffer pools (see scratch.go). Zero values are valid,
 	// so every Table construction path (Build, ReadTable, Rebuild)
 	// gets them for free.
-	scratch sync.Pool // *queryScratch: entry queue + overlap slice
+	scratch sync.Pool // *queryScratch: ranking buffers + overlap slice
 	masks   sync.Pool // *bitset.Set: all-zero target membership bitmaps
-	bufs    sync.Pool // *entryBuf: parallel workers' scored-candidate buffers
 
 	// Overflow accounting across the lineage (monotone, so metric
 	// scrapes survive snapshot swaps).
@@ -173,14 +172,14 @@ type Table struct {
 	part    *signature.Partition
 	r       int
 	data    *txn.Dataset
-	entries []*Entry                   // occupied supercoordinates, slot order
-	byCoord map[signature.Coord]int32  // coordinate -> slot
-	slotOf  []int32                    // TID -> slot, memoized at build/insert
-	store   *pager.Store               // nil in memory mode
-	dir     *directory                 // columnar activation index over the entries
-	live    int                        // non-deleted transactions
-	deleted []bool                     // tombstones by TID; nil until the first Delete
-	version uint64                     // snapshot version, bumped per mutation
+	entries []*Entry                  // occupied supercoordinates, slot order
+	byCoord map[signature.Coord]int32 // coordinate -> slot
+	slotOf  []int32                   // TID -> slot, memoized at build/insert
+	store   *pager.Store              // nil in memory mode
+	dir     *directory                // columnar activation index over the entries
+	live    int                       // non-deleted transactions
+	deleted []bool                    // tombstones by TID; nil until the first Delete
+	version uint64                    // snapshot version, bumped per mutation
 
 	flushThreshold int // resolved BuildOptions.FlushThreshold (<0 disables)
 
@@ -353,10 +352,30 @@ func (t *Table) Store() *pager.Store { return t.store }
 // additionally accumulates the pages this scan alone fetched, which is
 // how queries account PagesRead per query even when several run
 // concurrently.
+//
+// The overflow loops call fn directly, so a memory-mode scan allocates
+// nothing; only the page paths (scanPages, scanPageStats) build
+// per-call adapters for the pager.
 func (t *Table) scanEntry(e *Entry, reads *atomic.Int64, fn func(id txn.TID, tr txn.Transaction) bool) {
+	if t.store != nil && !t.scanPages(e, reads, fn) {
+		return
+	}
+	for _, id := range e.tids {
+		if t.IsDeleted(id) {
+			continue
+		}
+		if !fn(id, t.data.Get(id)) {
+			return
+		}
+	}
+}
+
+// scanPages visits the live transactions on an entry's pages,
+// reporting false when fn stopped the scan.
+func (t *Table) scanPages(e *Entry, reads *atomic.Int64, fn func(id txn.TID, tr txn.Transaction) bool) bool {
 	stopped := false
 	visit := func(id txn.TID, tr txn.Transaction) bool {
-		if t.deleted != nil && t.deleted[id] {
+		if t.IsDeleted(id) {
 			return true
 		}
 		if !fn(id, tr) {
@@ -365,23 +384,17 @@ func (t *Table) scanEntry(e *Entry, reads *atomic.Int64, fn func(id txn.TID, tr 
 		}
 		return true
 	}
-	if t.store != nil {
-		for _, l := range e.lists {
-			if err := t.store.ScanList(l, reads, visit); err != nil {
-				// Lists are written by Build from validated data; a decode
-				// failure means internal corruption.
-				panic(fmt.Sprintf("core: corrupt entry %#x: %v", e.Coord, err))
-			}
-			if stopped {
-				return
-			}
+	for _, l := range e.lists {
+		if err := t.store.ScanList(l, reads, visit); err != nil {
+			// Lists are written by Build from validated data; a decode
+			// failure means internal corruption.
+			panic(fmt.Sprintf("core: corrupt entry %#x: %v", e.Coord, err))
+		}
+		if stopped {
+			return false
 		}
 	}
-	for _, id := range e.tids {
-		if !visit(id, t.data.Get(id)) {
-			return
-		}
-	}
+	return true
 }
 
 // scanEntryStats visits each live transaction of an entry as its
@@ -390,46 +403,53 @@ func (t *Table) scanEntry(e *Entry, reads *atomic.Int64, fn func(id txn.TID, tr 
 // holds a pooled target bitmap, the pager computes the statistics
 // while unpacking each frame, never materializing a Transaction per
 // record; otherwise (memory mode, or a universe too large for pooled
-// bitmaps) it falls back to the materializing scan plus matchHamming.
+// bitmaps) transactions are materialized and scored with matchHamming.
 // Every engine scores candidates through this one hook, which is what
 // keeps v1 and v2 results byte-identical: both paths feed the same
 // integer statistics to the same similarity function.
 func (t *Table) scanEntryStats(e *Entry, m *matcher, reads *atomic.Int64, fn func(id txn.TID, match, hamming int) bool) {
-	if t.store != nil && m.mask != nil {
-		stopped := false
-		visit := func(id txn.TID, x, y int) bool {
-			if t.deleted != nil && t.deleted[id] {
-				return true
-			}
-			if !fn(id, x, y) {
-				stopped = true
-				return false
-			}
-			return true
-		}
-		for _, l := range e.lists {
-			if err := t.store.ScanListStats(l, reads, m.mask, len(m.target), visit); err != nil {
-				panic(fmt.Sprintf("core: corrupt entry %#x: %v", e.Coord, err))
-			}
-			if stopped {
-				return
-			}
-		}
-		for _, id := range e.tids {
-			if t.deleted != nil && t.deleted[id] {
-				continue
-			}
-			x, y := m.matchHamming(t.data.Get(id))
-			if !fn(id, x, y) {
-				return
-			}
-		}
+	if t.store != nil && !t.scanPageStats(e, m, reads, fn) {
 		return
 	}
-	t.scanEntry(e, reads, func(id txn.TID, tr txn.Transaction) bool {
-		x, y := m.matchHamming(tr)
-		return fn(id, x, y)
-	})
+	for _, id := range e.tids {
+		if t.IsDeleted(id) {
+			continue
+		}
+		x, y := m.matchHamming(t.data.Get(id))
+		if !fn(id, x, y) {
+			return
+		}
+	}
+}
+
+// scanPageStats is scanPages for scanEntryStats.
+func (t *Table) scanPageStats(e *Entry, m *matcher, reads *atomic.Int64, fn func(id txn.TID, match, hamming int) bool) bool {
+	if m.mask == nil {
+		return t.scanPages(e, reads, func(id txn.TID, tr txn.Transaction) bool {
+			x, y := m.matchHamming(tr)
+			return fn(id, x, y)
+		})
+	}
+	stopped := false
+	visit := func(id txn.TID, x, y int) bool {
+		if t.IsDeleted(id) {
+			return true
+		}
+		if !fn(id, x, y) {
+			stopped = true
+			return false
+		}
+		return true
+	}
+	for _, l := range e.lists {
+		if err := t.store.ScanListStats(l, reads, m.mask, len(m.target), visit); err != nil {
+			panic(fmt.Sprintf("core: corrupt entry %#x: %v", e.Coord, err))
+		}
+		if stopped {
+			return false
+		}
+	}
+	return true
 }
 
 // Occupancy summarizes how transactions distribute over entries.

@@ -17,7 +17,7 @@ func TestInsertAppearsInQueries(t *testing.T) {
 	table := buildTestTable(t, d, randomPartition(t, rng, 30, 5), BuildOptions{})
 
 	novel := txn.New(0, 7, 14, 21, 28)
-	id := table.Insert(novel)
+	table, _ = table.InsertSnapshot(novel)
 	if table.Live() != 201 {
 		t.Fatalf("Live = %d", table.Live())
 	}
@@ -32,7 +32,6 @@ func TestInsertAppearsInQueries(t *testing.T) {
 	if !table.Dataset().Get(gotID).Equal(novel) {
 		t.Fatalf("nearest is %v", table.Dataset().Get(gotID))
 	}
-	_ = id
 }
 
 // TestInsertMatchesRebuilt: a table maintained by inserts answers
@@ -49,7 +48,7 @@ func TestInsertMatchesRebuilt(t *testing.T) {
 	}
 	incremental := buildTestTable(t, prefix, part, BuildOptions{})
 	for i := 200; i < 300; i++ {
-		incremental.Insert(d.Get(txn.TID(i)))
+		incremental, _ = incremental.InsertSnapshot(d.Get(txn.TID(i)))
 	}
 	scratch := buildTestTable(t, d, part, BuildOptions{})
 
@@ -81,7 +80,7 @@ func TestInsertDiskModeOverflow(t *testing.T) {
 	table := buildTestTable(t, d, randomPartition(t, rng, 30, 5), BuildOptions{PageSize: 256})
 
 	novel := txn.New(1, 8, 15, 22)
-	table.Insert(novel)
+	table, _ = table.InsertSnapshot(novel)
 	_, v, err := table.Nearest(context.Background(), novel, simfun.Dice{})
 	if err != nil {
 		t.Fatal(err)
@@ -100,8 +99,9 @@ func TestDeleteHidesTransaction(t *testing.T) {
 	// Delete every exact duplicate of the target.
 	for i := 0; i < d.Len(); i++ {
 		if d.Get(txn.TID(i)).Equal(target) {
-			if !table.Delete(txn.TID(i)) {
-				t.Fatalf("Delete(%d) failed", i)
+			var ok bool
+			if table, ok = table.DeleteSnapshot(txn.TID(i)); !ok {
+				t.Fatalf("DeleteSnapshot(%d) failed", i)
 			}
 		}
 	}
@@ -118,10 +118,10 @@ func TestDeleteHidesTransaction(t *testing.T) {
 	}
 
 	// Double delete and out-of-range delete report false.
-	if table.Delete(50) {
+	if _, ok := table.DeleteSnapshot(50); ok {
 		t.Fatal("double delete reported true")
 	}
-	if table.Delete(txn.TID(d.Len() + 10)) {
+	if _, ok := table.DeleteSnapshot(txn.TID(d.Len() + 10)); ok {
 		t.Fatal("out-of-range delete reported true")
 	}
 }
@@ -137,7 +137,7 @@ func TestDeleteMatchesOracle(t *testing.T) {
 	alive := txn.NewDataset(30)
 	for i := 0; i < d.Len(); i++ {
 		if rng.Intn(3) == 0 {
-			table.Delete(txn.TID(i))
+			table, _ = table.DeleteSnapshot(txn.TID(i))
 		} else {
 			alive.Append(d.Get(txn.TID(i)))
 		}
@@ -169,9 +169,9 @@ func TestRebuildCompacts(t *testing.T) {
 	table := buildTestTable(t, d, randomPartition(t, rng, 30, 5), BuildOptions{})
 
 	for i := 0; i < 100; i++ {
-		table.Delete(txn.TID(i))
+		table, _ = table.DeleteSnapshot(txn.TID(i))
 	}
-	table.Insert(txn.New(2, 4, 6))
+	table, _ = table.InsertSnapshot(txn.New(2, 4, 6))
 
 	fresh, err := table.Rebuild()
 	if err != nil {
@@ -211,7 +211,7 @@ func TestInsertCreatesNewEntry(t *testing.T) {
 	if table.NumEntries() != 1 {
 		t.Fatalf("entries = %d", table.NumEntries())
 	}
-	table.Insert(txn.New(3))
+	table, _ = table.InsertSnapshot(txn.New(3))
 	if table.NumEntries() != 2 {
 		t.Fatalf("entries after insert = %d", table.NumEntries())
 	}

@@ -25,10 +25,10 @@ func TestValidateAfterMaintenance(t *testing.T) {
 	table := buildTestTable(t, d, randomPartition(t, rng, 30, 5), BuildOptions{})
 
 	for i := 0; i < 50; i++ {
-		table.Insert(randomTarget(rng, 30))
+		table, _ = table.InsertSnapshot(randomTarget(rng, 30))
 	}
 	for i := 0; i < 80; i++ {
-		table.Delete(txn.TID(rng.Intn(table.Dataset().Len())))
+		table, _ = table.DeleteSnapshot(txn.TID(rng.Intn(table.Dataset().Len())))
 	}
 	if err := table.Validate(); err != nil {
 		t.Fatal(err)

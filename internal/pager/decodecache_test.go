@@ -73,7 +73,7 @@ func TestDecodeCacheInvalidateForcesRedecode(t *testing.T) {
 	}
 	scanAll(t, s, list) // populate
 	s.ResetStats()
-	s.InvalidateDecodes()
+	s.DecodeCache().Invalidate()
 	scanAll(t, s, list)
 	if got := s.Stats().Reads; got != int64(len(list.Pages)) {
 		t.Fatalf("post-invalidate scan Reads = %d, want %d (full re-read)", got, len(list.Pages))
@@ -199,7 +199,6 @@ func TestDecodeCacheDetach(t *testing.T) {
 	if s.DecodeCache() != nil {
 		t.Fatal("cache not detached")
 	}
-	s.InvalidateDecodes() // no-op without a cache
 }
 
 func TestDecodeCacheZeroBytesPanics(t *testing.T) {
@@ -241,7 +240,7 @@ func TestDecodeCacheConcurrentScans(t *testing.T) {
 			for i := 0; i < 300; i++ {
 				li := r.Intn(nLists)
 				if r.Intn(20) == 0 {
-					s.InvalidateDecodes()
+					s.DecodeCache().Invalidate()
 					continue
 				}
 				got := -1

@@ -312,27 +312,12 @@ func (s *Store) AttachDecodeCache(maxBytes int64) {
 	s.decodes = NewDecodeCache(maxBytes)
 }
 
-// InvalidateDecodes orphans every cached decode (no-op without a
-// cache) and advances the prefetch generation, so in-flight prefetches
-// stamped before the mutation are dropped instead of admitted.
-// Mutating layers call this whenever logical list contents change; see
-// DecodeCache for the generation protocol.
-func (s *Store) InvalidateDecodes() {
-	if s.decodes != nil {
-		s.decodes.Invalidate()
-	}
-	if p := s.prefetch.Load(); p != nil {
-		p.invalidate()
-	}
-}
-
 // InvalidateList evicts the cached decode of one list (no-op without a
 // cache or for a pageless list), leaving every other entry's decode
-// resident. This is the fine-grained counterpart of InvalidateDecodes
-// for mutations scoped to a single entry's list: pages are write-once,
-// so decodes of other lists cannot have gone stale, and the prefetch
-// generation is deliberately left alone — in-flight prefetches only
-// warm the buffer pool with immutable pages.
+// resident. Mutations are scoped to a single entry's list and pages
+// are write-once, so decodes of other lists cannot have gone stale,
+// and the prefetch generation is deliberately left alone — in-flight
+// prefetches only warm the buffer pool with immutable pages.
 func (s *Store) InvalidateList(l List) {
 	if s.decodes == nil || len(l.Pages) == 0 {
 		return

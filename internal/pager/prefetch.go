@@ -35,11 +35,13 @@ const (
 //
 //   - Dedup: a page is fetched at most once concurrently (the inflight
 //     set), and never re-fetched while pool-resident.
-//   - Generation check: Invalidate bumps a generation; requests
+//   - Generation check: invalidate bumps a generation; requests
 //     stamped with an older generation are dropped, at enqueue and
 //     again between fetch and pool admission, so a prefetch racing a
-//     mutation cannot resurrect stale bytes. Mutating layers call it
-//     from the same hook that invalidates the decode cache.
+//     rewrite of its pages cannot resurrect stale bytes. Pages are
+//     write-once today and mutations evict only the mutated list's
+//     decode (Store.InvalidateList), so nothing outside this package's
+//     tests bumps it.
 //   - Accounting isolation: prefetch fetches count only BackendReads
 //     (and CoalescedReads/ReadRunPages) — never Reads, Misses,
 //     BytesRead or a query's PagesRead, which keep describing what the

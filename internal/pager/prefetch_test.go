@@ -285,7 +285,7 @@ func TestPrefetcherInvalidate(t *testing.T) {
 	pf.Request(context.Background(), append([]PageID(nil), l.Pages...))
 	waitFor(t, "issue", func() bool { return pf.Stats().Issued >= int64(len(l.Pages)) })
 
-	s.InvalidateDecodes() // the mutation hook: decode cache and prefetcher together
+	pf.invalidate()
 	st := pf.Stats()
 	if st.Wasted < int64(len(l.Pages)) {
 		t.Fatalf("Wasted = %d after invalidate, want >= %d", st.Wasted, len(l.Pages))
@@ -445,7 +445,7 @@ func TestPrefetchConcurrentScanHammer(t *testing.T) {
 				return
 			default:
 			}
-			s.InvalidateDecodes()
+			pf.invalidate()
 			time.Sleep(time.Millisecond)
 		}
 	}()

@@ -87,7 +87,7 @@ func newOpMetrics(reg *metrics.Registry, s *Server) *opMetrics {
 		entriesScanned:    reg.Counter("sigtable_entries_scanned_total", "signature table entries scanned"),
 		entriesPruned:     reg.Counter("sigtable_entries_pruned_total", "entries pruned by branch-and-bound optimistic bounds"),
 		txScanned:         reg.Counter("sigtable_transactions_scanned_total", "transactions whose similarity was evaluated"),
-		entriesSpeculated: reg.Counter("sigtable_entries_speculated_total", "parallel-search entries scanned ahead of the commit frontier and discarded"),
+		entriesSpeculated: reg.Counter("sigtable_entries_speculated_total", "sharded-search entries scored ahead of the coordinator and discarded"),
 
 		queryLatency:   reg.Histogram("sigtable_query_duration_seconds", "k-NN query latency", lat),
 		rangeLatency:   reg.Histogram("sigtable_range_duration_seconds", "range query latency", lat),

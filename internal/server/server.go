@@ -39,9 +39,10 @@
 // Concurrency control lives in the engine itself: queries run
 // lock-free against an immutable published snapshot, while inserts and
 // deletes derive and publish a new snapshot without ever blocking
-// them. Query-path requests accept a "parallelism" field
-// selecting the number of scan goroutines inside one search (0 uses
-// Options.QueryParallelism). A semaphore bounds in-flight requests
+// them. /v1/range requests accept a "parallelism" field selecting the
+// number of goroutines partitioning the entry scan (0 uses
+// Options.QueryParallelism); k-NN searches always run one serial
+// branch-and-bound loop. A semaphore bounds in-flight requests
 // (Options.MaxConcurrent); request-ID and access-log middleware wrap
 // every route.
 package server
@@ -96,10 +97,12 @@ type Options struct {
 	MaxConcurrent int
 	// MaxBodyBytes caps request body size. 0 selects 1 MiB.
 	MaxBodyBytes int64
-	// QueryParallelism is the per-search worker count applied when a
-	// request does not carry its own "parallelism". 0 selects 1
-	// (serial searches), the right default when throughput across
+	// QueryParallelism is the /v1/range partitioning width applied when
+	// a request does not carry its own "parallelism". 0 selects 1
+	// (serial scans), the right default when throughput across
 	// concurrent requests matters more than single-query latency.
+	// k-NN searches (/v1/query, /v1/multi) always run serially; they
+	// still validate a request's "parallelism" but do not use it.
 	QueryParallelism int
 	// BuildParallelism is the rebuild worker count applied when a
 	// /v1/rebuild request does not carry its own "parallelism". 0
@@ -218,8 +221,8 @@ type QueryRequest struct {
 	K               int             `json:"k"`
 	MaxScanFraction float64         `json:"maxScanFraction"`
 	Sort            string          `json:"sort"`
-	// Parallelism selects the scan goroutines for this one search; 0
-	// uses the server's configured default.
+	// Parallelism is accepted for compatibility and must be
+	// non-negative; a k-NN search always runs one serial loop.
 	Parallelism int `json:"parallelism"`
 }
 
@@ -608,9 +611,9 @@ func (s *Server) target(w http.ResponseWriter, items []sigtable.Item) (sigtable.
 	return sigtable.NewTransaction(items...), true
 }
 
-// parallelism resolves a request's per-search worker count: positive
+// parallelism resolves a request's range-scan worker count: positive
 // is explicit, zero falls back to the server's configured default, and
-// negative is rejected.
+// negative is rejected. k-NN handlers call it only to validate.
 func (s *Server) parallelism(w http.ResponseWriter, requested int) (int, bool) {
 	if requested < 0 {
 		s.writeErr(w, http.StatusBadRequest, CodeBadRequest, "parallelism %d must be non-negative", requested)
@@ -767,8 +770,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	par, ok := s.parallelism(w, req.Parallelism)
-	if !ok {
+	if _, ok := s.parallelism(w, req.Parallelism); !ok {
 		return
 	}
 
@@ -776,11 +778,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	start := time.Now()
 
-	res, err := s.idx.Query(ctx, target, f, sigtable.QueryOptions{
+	res, err := s.idx.Query(ctx, target, f, sigtable.SearchOptions{
 		K:               req.K,
 		MaxScanFraction: req.MaxScanFraction,
 		SortBy:          sortBy,
-		Parallelism:     par,
 		ReadaheadDepth:  s.opt.ReadaheadDepth,
 	})
 	if err != nil {
@@ -863,8 +864,7 @@ func (s *Server) handleMulti(w http.ResponseWriter, r *http.Request) {
 		}
 		targets[i] = t
 	}
-	par, ok := s.parallelism(w, req.Parallelism)
-	if !ok {
+	if _, ok := s.parallelism(w, req.Parallelism); !ok {
 		return
 	}
 
@@ -872,10 +872,9 @@ func (s *Server) handleMulti(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	start := time.Now()
 
-	res, err := s.idx.MultiQuery(ctx, targets, f, sigtable.QueryOptions{
+	res, err := s.idx.MultiQuery(ctx, targets, f, sigtable.SearchOptions{
 		K:               req.K,
 		MaxScanFraction: req.MaxScanFraction,
-		Parallelism:     par,
 		ReadaheadDepth:  s.opt.ReadaheadDepth,
 	})
 	if err != nil {

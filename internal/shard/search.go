@@ -12,7 +12,6 @@ import (
 	"sigtable/internal/core"
 	"sigtable/internal/signature"
 	"sigtable/internal/simfun"
-	"sigtable/internal/topk"
 	"sigtable/internal/txn"
 )
 
@@ -23,15 +22,16 @@ import (
 // visiting order restricted to its own coordinates (the same
 // comparator over the same bit-identical keys — so the restriction of
 // the global order), and streams one scored buffer per entry to the
-// coordinator over a bounded channel. The coordinator replays the
-// serial branch-and-bound loop over the merged coordinate set: it pops
-// coordinates from a heap in the exact single-table visiting order,
-// applies the exact prune predicate, and commits a scanned entry by
-// K-way-merging the owning shards' buffers in ascending global TID
-// order — reproducing the single table's within-entry scan order, so
-// the top-k heap sees the same (TID, value) sequence and breaks ties
-// identically. Budget and cancellation checks run at the serial
-// cadence against the committed Scanned count only, so early
+// coordinator over a bounded channel. The coordinator drives the
+// serial branch-and-bound loop over the merged coordinate set through
+// a core.Frontier — the same bookkeeping the single table uses: it
+// pops coordinates from a heap in the exact single-table visiting
+// order, applies the frontier's prune test, and commits a scanned
+// entry by K-way-merging the owning shards' buffers in ascending
+// global TID order — reproducing the single table's within-entry scan
+// order, so the top-k heap sees the same (TID, value) sequence and
+// breaks ties identically. Budget and cancellation checks run in the
+// frontier's Offer against the committed Scanned count only, so early
 // termination cuts at the same transaction. Speculation past the
 // commit frontier is discarded and counted in EntriesSpeculated.
 //
@@ -81,7 +81,7 @@ type mergedEntry struct {
 }
 
 // mergedQueue is a max-heap over mergedEntry in the visiting order,
-// the coordinator's counterpart of core's entryQueue.
+// the coordinator's counterpart of core's entry ladder.
 type mergedQueue []*mergedEntry
 
 func (q mergedQueue) before(i, j int) bool {
@@ -121,6 +121,29 @@ func (q *mergedQueue) popMax() *mergedEntry {
 	*q = old[:n]
 	(*q).siftDown(0)
 	return top
+}
+
+// drop empties the queue, returning how many entries it held — the
+// prune-break accounting.
+func (q *mergedQueue) drop() int {
+	n := len(*q)
+	*q = (*q)[:0]
+	return n
+}
+
+// maxOpt returns the largest optimistic bound still queued, or -Inf
+// when the queue is empty. In bound order the heap root dominates.
+func (q mergedQueue) maxOpt(by core.SortCriterion) float64 {
+	if len(q) > 0 && by == core.ByOptimisticBound {
+		return q[0].opt
+	}
+	best := math.Inf(-1)
+	for _, u := range q {
+		if u.opt > best {
+			best = u.opt
+		}
+	}
+	return best
 }
 
 // scatterTopK is the per-shard worker. It loads the shard's current
@@ -205,20 +228,12 @@ func (x *Index) scatterTopK(ctx context.Context, s *shard, targets []txn.Transac
 }
 
 // searchTopK is the coordinator: it scatters workers, merges their
-// snapshots, and replays core.searchSerial's loop decision-for-
-// decision over the merged coordinates.
+// snapshots, and drives the single table's branch-and-bound loop
+// decision-for-decision over the merged coordinates.
 func (x *Index) searchTopK(ctx context.Context, targets []txn.Transaction, f simfun.Func, opt core.QueryOptions) (core.Result, error) {
-	if opt.K == 0 {
-		opt.K = 1
-	}
-	if opt.K < 0 {
-		return core.Result{}, fmt.Errorf("shard: k=%d must be positive", opt.K)
-	}
-	if opt.Parallelism < 0 {
-		return core.Result{}, fmt.Errorf("shard: parallelism %d must be non-negative", opt.Parallelism)
-	}
-	if opt.MaxScanFraction != 0 && (opt.MaxScanFraction < 0 || opt.MaxScanFraction > 1) {
-		return core.Result{}, fmt.Errorf("shard: scan fraction %v outside (0, 1]", opt.MaxScanFraction)
+	opt, err := opt.Normalize()
+	if err != nil {
+		return core.Result{}, err
 	}
 
 	S := len(x.shards)
@@ -265,14 +280,6 @@ func (x *Index) searchTopK(ctx context.Context, targets []txn.Transaction, f sim
 		wg.Wait()
 		return core.Result{Certified: true}, nil
 	}
-	budget := totalLive
-	if opt.MaxScanFraction != 0 {
-		budget = int(math.Ceil(opt.MaxScanFraction * float64(totalLive)))
-		if budget < 1 {
-			budget = 1
-		}
-	}
-
 	plan := core.NewTargetPlan(x.part, x.r, targets, f)
 	q := make(mergedQueue, 0, len(union))
 	for _, u := range union {
@@ -297,34 +304,24 @@ func (x *Index) searchTopK(ctx context.Context, targets []txn.Transaction, f sim
 		return bufs
 	}
 
-	// The serial replay: identical control flow to core.searchSerial.
-	res := core.Result{Workers: S}
-	best := topk.New(opt.K)
-	partialOpt := math.Inf(-1)
-	interrupted := ctx.Err() != nil
+	// The serial replay: the single table's loop, over merged entries.
+	fr := core.NewFrontier(ctx, opt, totalLive)
 	consumed := 0
-
-	for !interrupted && len(q) > 0 {
+	for fr.Live() && len(q) > 0 {
 		u := q.popMax()
-		if threshold, full := best.Threshold(); full && u.opt <= threshold {
-			if opt.SortBy == core.ByOptimisticBound {
-				res.EntriesPruned += 1 + len(q)
-				q = q[:0]
-				break
+		if fr.Prune(u.opt, q.drop) {
+			if fr.Live() {
+				fetch(u) // discard, keeping the per-shard streams aligned
 			}
-			res.EntriesPruned++
-			fetch(u) // discard, keeping the per-shard streams aligned
 			continue
 		}
-		res.EntriesScanned++
+		fr.Enter(u.opt, u.count)
 		bufs := fetch(u)
 		consumed += len(bufs)
 
 		// K-way merge by ascending global TID: each buffer is already
 		// ascending (monotone local→global mapping), so the smallest
 		// head across owners is the single table's next transaction.
-		stop := false
-		inEntry := 0
 		idx := make([]int, len(bufs))
 		for {
 			sel := -1
@@ -342,55 +339,18 @@ func (x *Index) searchTopK(ctx context.Context, targets []txn.Transaction, f sim
 			}
 			c := bufs[sel].cands[idx[sel]]
 			idx[sel]++
-			best.Offer(c.gid, c.val)
-			res.Scanned++
-			inEntry++
-			if res.Scanned >= budget {
-				stop = true
-				break
-			}
-			if res.Scanned%core.CancelCheckEvery == 0 && ctx.Err() != nil {
-				interrupted = true
+			if !fr.Offer(c.gid, c.val) {
 				break
 			}
 		}
-		if stop || interrupted {
-			if inEntry < u.count {
-				partialOpt = u.opt
-			}
-			break
-		}
-		interrupted = ctx.Err() != nil
+		fr.Leave()
 	}
-
-	// Optimality certificate over whatever was not resolved, exactly as
-	// the serial loop computes it.
-	maxRemaining := partialOpt
-	if len(q) > 0 {
-		if opt.SortBy == core.ByOptimisticBound {
-			if q[0].opt > maxRemaining {
-				maxRemaining = q[0].opt
-			}
-		} else {
-			for _, u := range q {
-				if u.opt > maxRemaining {
-					maxRemaining = u.opt
-				}
-			}
-		}
-	}
-	res.Neighbors = best.Results()
-	res.Interrupted = interrupted
-	threshold, full := best.Threshold()
-	res.Certified = full && (math.IsInf(maxRemaining, -1) || maxRemaining <= threshold)
-	res.BestPossible = maxRemaining
-	if len(res.Neighbors) > 0 && res.Neighbors[0].Value > res.BestPossible {
-		res.BestPossible = res.Neighbors[0].Value
-	}
+	res := fr.Finish(q.maxOpt(opt.SortBy))
 
 	halt()
 	wg.Wait()
 	res.PagesRead = reads.Load()
+	res.Workers = S
 	res.EntriesSpeculated = int(produced.Load()) - consumed
 	return res, nil
 }

@@ -156,9 +156,9 @@ func TestQuickShardedMatchesSingle(t *testing.T) {
 		}
 		for _, m := range muts {
 			if m.insert != nil {
-				single.Insert(m.insert)
+				single, _ = single.InsertSnapshot(m.insert)
 			} else {
-				single.Delete(m.delete)
+				single, _ = single.DeleteSnapshot(m.delete)
 			}
 		}
 

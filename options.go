@@ -18,12 +18,13 @@ type SearchOptions struct {
 	MaxScanFraction float64
 	// SortBy selects the entry visiting order. Top-k searches only.
 	SortBy SortCriterion
-	// Parallelism bounds the goroutines a search uses. For a single
-	// query it is the scan fan-out inside the branch-and-bound loop
-	// (0 = GOMAXPROCS, 1 = serial); for a range query the entry
-	// partitioning width; for a batch the pool width (see BatchQuery).
-	// Results are identical at every setting. A sharded index ignores
-	// it for single queries — the scatter width is the shard count.
+	// Parallelism bounds the goroutines a range query or a batch uses:
+	// for a range query the entry partitioning width, for a batch the
+	// pool width or the shared scan's scoring fan-out (see BatchQuery);
+	// 0 selects GOMAXPROCS. Results are identical at every setting.
+	// Query and MultiQuery ignore it: a single branch-and-bound search
+	// always runs one serial loop (a sharded index scatters it across
+	// its shards instead).
 	Parallelism int
 	// SharedScan routes a BatchQuery through ONE scan over the
 	// signature table instead of independent per-target queries; see
@@ -45,7 +46,6 @@ func (o SearchOptions) query() core.QueryOptions {
 		K:               o.K,
 		MaxScanFraction: o.MaxScanFraction,
 		SortBy:          o.SortBy,
-		Parallelism:     o.Parallelism,
 		ReadaheadDepth:  o.ReadaheadDepth,
 	}
 }

@@ -161,8 +161,8 @@ func (sx *ShardedIndex) DirectoryStats() DirectoryStats { return sx.x.DirectoryS
 
 // Query runs the k-NN search scattered across all shards; semantics
 // (contexts, certificates, errors) match Index.Query exactly, and the
-// result is byte-identical to it. SearchOptions.Parallelism is ignored
-// — the scatter width is the shard count.
+// result is byte-identical to it. The scatter width is the shard
+// count.
 func (sx *ShardedIndex) Query(ctx context.Context, target Transaction, f SimilarityFunc, opt SearchOptions) (Result, error) {
 	return sx.x.Query(ctx, target, f, opt.query())
 }

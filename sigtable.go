@@ -272,8 +272,7 @@ func (o IndexOptions) withDefaults(n int) IndexOptions {
 //
 // An Index is safe for concurrent use, and queries never take a lock:
 // each search loads the atomically published table snapshot and runs
-// against that immutable version for its whole duration (additionally
-// parallelizable via SearchOptions.Parallelism). Mutations (Insert,
+// against that immutable version for its whole duration. Mutations (Insert,
 // Delete, Compact) serialize behind a small writer mutex, derive the
 // next snapshot by copy-on-write — sharing all untouched structure —
 // and publish it with one atomic store; they never wait for queries,

@@ -100,7 +100,7 @@ func TestSnapshotByteIdentity(t *testing.T) {
 						// Pin one snapshot; version and result both come
 						// from the same immutable table.
 						snap := idx.Table()
-						res, err := snap.Query(context.Background(), target, Jaccard{}, core.QueryOptions{K: 4, Parallelism: 1})
+						res, err := snap.Query(context.Background(), target, Jaccard{}, core.QueryOptions{K: 4})
 						if err != nil {
 							fail <- err
 							return
@@ -154,7 +154,7 @@ func TestSnapshotByteIdentity(t *testing.T) {
 					}
 					applied++
 				}
-				want, err := replay.Table().Query(context.Background(), c.target, Jaccard{}, core.QueryOptions{K: 4, Parallelism: 1})
+				want, err := replay.Table().Query(context.Background(), c.target, Jaccard{}, core.QueryOptions{K: 4})
 				if err != nil {
 					t.Fatal(err)
 				}
