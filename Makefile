@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race race-core race-prefetch race-directory race-snapshot check bench bench-build bench-all docs-check staticcheck
+.PHONY: build test vet race race-core race-prefetch race-directory race-snapshot race-shard check bench bench-build bench-all docs-check staticcheck
 
 build:
 	$(GO) build ./...
@@ -49,7 +49,15 @@ race-directory:
 race-snapshot:
 	$(GO) test -race -run 'Snapshot|MutationDoesNotBlock' ./internal/core ./internal/shard .
 
-check: vet staticcheck docs-check race-core race-prefetch race-directory race-snapshot race
+# The sharded engine's dedicated pass: the scatter workers, their
+# per-entry buffer rings and the coordinator's merge of their ranked
+# streams, plus the public sharded identity tests, under the race
+# detector — the focused signal for the scatter-gather path.
+race-shard:
+	$(GO) test -race ./internal/shard
+	$(GO) test -race -run 'Shard' .
+
+check: vet staticcheck docs-check race-core race-prefetch race-directory race-snapshot race-shard race
 
 # staticcheck runs when the binary is on PATH (CI installs it); locally
 # it degrades to a skip notice rather than demanding an install.
@@ -66,13 +74,19 @@ staticcheck:
 # shared-scan batches, the page-codec scan and fused-score kernels (v1
 # vs v2), the build pipeline serial vs parallel, support counting, the
 # buffer-pool hammer, and the mixed read/write workload under snapshot
-# publication (query-ns/op and decode-cache hit rate under 1% writes). delta_vs ratios compare
-# each shared benchmark
-# against the newest previous BENCH_PR*.json baseline; with no baseline
-# on disk the flag is omitted and the report carries absolute numbers.
-BENCH_OUT  := BENCH_PR10.json
+# publication (query-ns/op and decode-cache hit rate under 1% writes).
+# delta_vs ratios compare each shared benchmark against the newest
+# BENCH_PR*.json baseline; with no baseline on disk the flag is omitted
+# and the report carries absolute numbers. The report goes to a new
+# file, bench-<timestamp>.json unless BENCH_OUT names one (archive a
+# change's numbers with BENCH_OUT=BENCH_PR<n>.json); an existing file
+# is never overwritten.
+ifndef BENCH_OUT
+BENCH_OUT := bench-$(shell date +%Y%m%d-%H%M%S).json
+endif
 BENCH_BASE := $(shell ls BENCH_PR*.json 2>/dev/null | grep -v '^$(BENCH_OUT)$$' | sort -V | tail -1)
 bench:
+	@if [ -e '$(BENCH_OUT)' ]; then echo "bench: $(BENCH_OUT) exists; set BENCH_OUT to a new file" >&2; exit 1; fi
 	$(GO) test -run - -bench 'BenchmarkQuery|BenchmarkShardedQuery|BenchmarkBatchQuery|BenchmarkScanList|BenchmarkFusedScore|BenchmarkBuildIndex|BenchmarkSupportCount|BenchmarkPoolHammer|BenchmarkEntryRanking|BenchmarkMixedWorkload' -benchmem . ./internal/core | $(GO) run ./cmd/benchjson $(if $(BENCH_BASE),-delta-vs $(BENCH_BASE)) > $(BENCH_OUT)
 	@cat $(BENCH_OUT)
 

@@ -527,7 +527,7 @@ var (
 	shardedFix = map[string]*ShardedIndex{}
 )
 
-func shardedSetup(b *testing.B, name string, S int, disk bool) *ShardedIndex {
+func shardedSetup(b testing.TB, name string, S int, disk bool) *ShardedIndex {
 	b.Helper()
 	m := microSetup(b)
 	shardedMu.Lock()
@@ -556,8 +556,10 @@ func shardedSetup(b *testing.B, name string, S int, disk bool) *ShardedIndex {
 // engine at S ∈ {1, 4, 8}, in memory and against per-shard page files.
 // The answers are byte-identical to the single table at every shard
 // count (the property tests prove it), so this measures only what the
-// scatter-gather costs and buys: per-shard scan workers against the
-// coordinator's merge overhead. 1shards is the degenerate case — one
+// scatter-gather costs and buys: per-shard ranking and scan workers
+// against the coordinator's head merge of their ranked streams, whose
+// allocations scale with S, not with the entries visited
+// (TestShardedQueryAllocsPinned). 1shards is the degenerate case — one
 // shard behind the routing layer — and bounds the engine's fixed tax
 // over a plain Index.
 func BenchmarkShardedQuery(b *testing.B) {

@@ -136,8 +136,8 @@ func (p *TargetPlan) TargetCoord() signature.Coord { return p.coords[0] }
 // cost and sorts only the order prefix it actually streams; multi-
 // target plans rank eagerly (the keys need the averaging loop) but
 // still consume through the ladder. The stream borrows query scratch
-// from the table's pool: Close it, and do not use it after the
-// table's lock is released.
+// from the table's pool: Close it when done. It is not safe for
+// concurrent use.
 type RankedStream struct {
 	t      *Table
 	sc     *queryScratch
@@ -167,15 +167,39 @@ func (t *Table) NewRankedStream(p *TargetPlan, by SortCriterion) *RankedStream {
 // Len reports how many coordinates remain.
 func (rs *RankedStream) Len() int { return rs.src.Len() }
 
+// RankedCoord is one coordinate as a RankedStream visits it: its
+// ranking keys, bit-identical to TargetPlan.Rank's, and its entry's
+// live transaction count.
+type RankedCoord struct {
+	Coord          signature.Coord
+	Opt, Sort, Tie float64
+	Count          int
+}
+
 // Next returns the next coordinate in visiting order; ok is false when
 // the stream is exhausted.
 func (rs *RankedStream) Next() (c signature.Coord, ok bool) {
+	rc, ok := rs.NextRanked()
+	return rc.Coord, ok
+}
+
+// NextRanked is Next with the coordinate's keys and live count — what
+// a coordinator needs to merge several tables' streams into the
+// global visiting order with CompareRanked.
+func (rs *RankedStream) NextRanked() (RankedCoord, bool) {
 	if rs.src.Len() == 0 {
-		return 0, false
+		return RankedCoord{}, false
 	}
 	re := rs.src.Pop()
 	rs.issued[re.idx] = true
-	return re.e.Coord, true
+	return RankedCoord{Coord: re.e.Coord, Opt: re.opt, Sort: re.sort, Tie: re.tie, Count: re.e.Count}, true
+}
+
+// DrainRest consumes every coordinate the stream has not returned yet,
+// visiting each with its optimistic bound in unspecified order.
+func (rs *RankedStream) DrainRest(fn func(c signature.Coord, opt float64)) {
+	rs.src.All(func(re rankedEntry) { fn(re.e.Coord, re.opt) })
+	rs.src.Drop()
 }
 
 // Upcoming appends up to depth not-yet-reported upcoming coordinates
@@ -251,12 +275,20 @@ func (p *RangePlan) Prunable(c signature.Coord) bool {
 }
 
 // ShardScorer scans and scores one table's entries for a fixed target
-// set, producing the same float values Query and MultiQuery score. It holds pooled matchers; callers must Release it.
+// set, producing the same float values Query and MultiQuery score. It
+// holds pooled matchers; callers must Release it.
 type ShardScorer struct {
 	t        *Table
 	fs       []simfun.Func
 	matchers []matcher
 	invN     float64
+
+	// emit is the current ScanCoord callback; stats and whole adapt the
+	// table's scan callbacks to it and are built once per scorer, so a
+	// scan allocates nothing per entry.
+	emit  func(id txn.TID, value float64) bool
+	stats func(id txn.TID, x, y int) bool
+	whole func(id txn.TID, tr txn.Transaction) bool
 }
 
 // NewShardScorer prepares the scoring kernel for targets under f
@@ -277,6 +309,8 @@ func NewShardScorer(t *Table, targets []txn.Transaction, f simfun.Func) *ShardSc
 		s.fs[i] = fi
 		s.matchers[i] = t.newMatcher(tgt)
 	}
+	s.stats = func(id txn.TID, x, y int) bool { return s.emit(id, s.fs[0].Score(x, y)) }
+	s.whole = func(id txn.TID, tr txn.Transaction) bool { return s.emit(id, s.score(tr)) }
 	return s
 }
 
@@ -291,16 +325,13 @@ func (s *ShardScorer) ScanCoord(c signature.Coord, reads *atomic.Int64, fn func(
 		return
 	}
 	e := s.t.entries[slot]
+	s.emit = fn
 	if len(s.fs) == 1 {
 		// Single target: fuse decode and scoring, like Query.
-		s.t.scanEntryStats(e, &s.matchers[0], reads, func(id txn.TID, x, y int) bool {
-			return fn(id, s.fs[0].Score(x, y))
-		})
+		s.t.scanEntryStats(e, &s.matchers[0], reads, s.stats)
 		return
 	}
-	s.t.scanEntry(e, reads, func(id txn.TID, tr txn.Transaction) bool {
-		return fn(id, s.score(tr))
-	})
+	s.t.scanEntry(e, reads, s.whole)
 }
 
 // Readahead resolves a per-query readahead depth request against the

@@ -35,13 +35,9 @@ const (
 //
 //   - Dedup: a page is fetched at most once concurrently (the inflight
 //     set), and never re-fetched while pool-resident.
-//   - Generation check: invalidate bumps a generation; requests
-//     stamped with an older generation are dropped, at enqueue and
-//     again between fetch and pool admission, so a prefetch racing a
-//     rewrite of its pages cannot resurrect stale bytes. Pages are
-//     write-once today and mutations evict only the mutated list's
-//     decode (Store.InvalidateList), so nothing outside this package's
-//     tests bumps it.
+//   - Write-once pages: a mutation writes fresh pages and evicts only
+//     the mutated list's decode (Store.InvalidateList), so a fetched
+//     page can never go stale and a request needs no generation check.
 //   - Accounting isolation: prefetch fetches count only BackendReads
 //     (and CoalescedReads/ReadRunPages) — never Reads, Misses,
 //     BytesRead or a query's PagesRead, which keep describing what the
@@ -50,12 +46,10 @@ const (
 type Prefetcher struct {
 	s       *Store
 	workers int
-	reqs    chan prefetchReq
+	reqs    chan []PageID
 	quit    chan struct{}
 	wg      sync.WaitGroup
 	once    sync.Once
-
-	gen atomic.Uint64
 
 	issued  atomic.Int64
 	hits    atomic.Int64
@@ -75,11 +69,6 @@ type Prefetcher struct {
 	recentN  atomic.Int64 // len(recent); lock-free fast path for notePoolHit
 }
 
-type prefetchReq struct {
-	gen   uint64
-	pages []PageID
-}
-
 // PrefetchStats is a snapshot of the pipeline's counters.
 type PrefetchStats struct {
 	// Workers is the number of fetch goroutines; Depth the current
@@ -88,10 +77,9 @@ type PrefetchStats struct {
 	Depth   int
 	// Issued counts pages fetched and admitted to the pool. Hits are
 	// issued pages a scan later consumed from the pool; Wasted are
-	// issued pages evicted from attribution unconsumed (FIFO overflow
-	// or invalidation). Dropped counts requested pages discarded
-	// before any I/O completed for them — ring overflow, stale
-	// generation, or a racing store close.
+	// issued pages evicted from attribution unconsumed (FIFO
+	// overflow). Dropped counts requested pages discarded before any
+	// I/O completed for them — ring overflow or a racing store close.
 	Issued  int64
 	Hits    int64
 	Wasted  int64
@@ -110,7 +98,7 @@ func (s *Store) AttachPrefetcher(workers int) {
 	p := &Prefetcher{
 		s:        s,
 		workers:  workers,
-		reqs:     make(chan prefetchReq, prefetchRing),
+		reqs:     make(chan []PageID, prefetchRing),
 		quit:     make(chan struct{}),
 		inflight: make(map[PageID]struct{}),
 		recent:   make(map[PageID]struct{}),
@@ -168,9 +156,8 @@ func (p *Prefetcher) Request(ctx context.Context, pages []PageID) {
 	if len(pages) == 0 || ctx.Err() != nil {
 		return
 	}
-	req := prefetchReq{gen: p.gen.Load(), pages: pages}
 	select {
-	case p.reqs <- req:
+	case p.reqs <- pages:
 	default:
 		p.dropped.Add(int64(len(pages)))
 	}
@@ -210,45 +197,25 @@ func (p *Prefetcher) Stats() PrefetchStats {
 	}
 }
 
-// invalidate bumps the generation (dropping queued and mid-flight
-// requests stamped before the mutation) and writes off every
-// outstanding attribution as wasted — the pages may still be pool
-// resident, but crediting a post-mutation hit to a pre-mutation
-// prefetch would teach the depth controller the wrong lesson.
-func (p *Prefetcher) invalidate() {
-	p.gen.Add(1)
-	p.mu.Lock()
-	p.wasted.Add(int64(len(p.recent)))
-	clear(p.recent)
-	p.recentQ = p.recentQ[:0]
-	p.recentHd = 0
-	p.recentN.Store(0)
-	p.mu.Unlock()
-}
-
 func (p *Prefetcher) worker() {
 	defer p.wg.Done()
 	for {
 		select {
 		case <-p.quit:
 			return
-		case req := <-p.reqs:
-			p.serve(req)
+		case pages := <-p.reqs:
+			p.serve(pages)
 		}
 	}
 }
 
-func (p *Prefetcher) serve(req prefetchReq) {
-	if req.gen != p.gen.Load() {
-		p.dropped.Add(int64(len(req.pages)))
-		return
-	}
+func (p *Prefetcher) serve(pages []PageID) {
 	// Claim what still needs fetching: skip pages another worker is
 	// already on and pages the pool holds.
 	pool := p.s.pool
-	claimed := make([]PageID, 0, len(req.pages))
+	claimed := make([]PageID, 0, len(pages))
 	p.mu.Lock()
-	for _, id := range req.pages {
+	for _, id := range pages {
 		if _, busy := p.inflight[id]; busy {
 			continue
 		}
@@ -269,9 +236,7 @@ func (p *Prefetcher) serve(req prefetchReq) {
 		}
 		p.mu.Unlock()
 	}()
-	// Fetch in coalesced runs of consecutive PageIDs, re-checking the
-	// generation between fetch and admission so a racing invalidation
-	// cannot plant stale bytes in the pool.
+	// Fetch in coalesced runs of consecutive PageIDs.
 	for i := 0; i < len(claimed); {
 		n := 1
 		for i+n < len(claimed) && n < maxReadRun && claimed[i+n] == claimed[i]+PageID(n) {
@@ -288,10 +253,6 @@ func (p *Prefetcher) serve(req prefetchReq) {
 		if n > 1 {
 			p.s.coalescedReads.Add(1)
 			p.s.readRunPages.Add(int64(n))
-		}
-		if req.gen != p.gen.Load() {
-			p.dropped.Add(int64(len(claimed) - i))
-			return
 		}
 		p.mu.Lock()
 		for j := 0; j < n; j++ {

@@ -1,6 +1,7 @@
 package pager
 
 import (
+	"bytes"
 	"context"
 	"math/rand"
 	"path/filepath"
@@ -276,40 +277,6 @@ func TestPrefetcherDedup(t *testing.T) {
 	}
 }
 
-// TestPrefetcherInvalidate: a generation bump writes the outstanding
-// attributions off as wasted and stops crediting later pool hits.
-func TestPrefetcherInvalidate(t *testing.T) {
-	s, lists := prefetchFixture(t, 1)
-	pf := s.Prefetcher()
-	l := lists[3]
-	pf.Request(context.Background(), append([]PageID(nil), l.Pages...))
-	waitFor(t, "issue", func() bool { return pf.Stats().Issued >= int64(len(l.Pages)) })
-
-	pf.invalidate()
-	st := pf.Stats()
-	if st.Wasted < int64(len(l.Pages)) {
-		t.Fatalf("Wasted = %d after invalidate, want >= %d", st.Wasted, len(l.Pages))
-	}
-	if err := s.ScanList(l, nil, func(txn.TID, txn.Transaction) bool { return true }); err != nil {
-		t.Fatal(err)
-	}
-	if got := pf.Stats().Hits; got != st.Hits {
-		t.Fatalf("post-invalidation scan credited %d stale hits", got-st.Hits)
-	}
-
-	// Requests stamped before the bump are dropped, not served.
-	pre := prefetchReq{gen: pf.gen.Load() - 1, pages: lists[4].Pages}
-	before := pf.Stats()
-	pf.serve(pre)
-	after := pf.Stats()
-	if after.Issued != before.Issued {
-		t.Fatal("stale-generation request was served")
-	}
-	if after.Dropped != before.Dropped+int64(len(lists[4].Pages)) {
-		t.Fatalf("Dropped = %d, want %d", after.Dropped, before.Dropped+int64(len(lists[4].Pages)))
-	}
-}
-
 // TestPrefetcherOutlivesRequester: the context gates enqueue only. A
 // request accepted before its search's cancellation is still served —
 // the pool is shared, so the warmth has consumers beyond the
@@ -362,26 +329,35 @@ func TestPrefetcherReadahead(t *testing.T) {
 	}
 }
 
-// TestPrefetcherStopReleasesGoroutines: attach grows the goroutine
-// count by the worker total, stop (and Close, which implies it)
-// returns to baseline — the pager-layer leak check.
+// prefetchWorkers counts the live prefetch worker goroutines. Counting
+// the workers themselves, rather than comparing runtime.NumGoroutine
+// against a baseline, keeps a previous test's goroutine that is still
+// exiting out of the count.
+func prefetchWorkers() int {
+	buf := make([]byte, 1<<20)
+	n := runtime.Stack(buf, true)
+	return bytes.Count(buf[:n], []byte("pager.(*Prefetcher).worker("))
+}
+
+// TestPrefetcherStopReleasesGoroutines: attach starts exactly the
+// worker total, stop (and Close, which implies it) reaps every one of
+// them — the pager-layer leak check.
 func TestPrefetcherStopReleasesGoroutines(t *testing.T) {
-	base := runtime.NumGoroutine()
 	s, _ := prefetchFixture(t, 4)
-	waitFor(t, "workers to start", func() bool { return runtime.NumGoroutine() >= base+4 })
+	waitFor(t, "workers to start", func() bool { return prefetchWorkers() == 4 })
 	s.StopPrefetcher()
-	waitFor(t, "workers to exit", func() bool { return runtime.NumGoroutine() <= base })
+	waitFor(t, "workers to exit", func() bool { return prefetchWorkers() == 0 })
 	if s.Prefetcher() != nil {
 		t.Fatal("prefetcher still attached after stop")
 	}
 	s.StopPrefetcher() // idempotent
 
 	s.AttachPrefetcher(2)
-	waitFor(t, "workers to restart", func() bool { return runtime.NumGoroutine() >= base+2 })
+	waitFor(t, "workers to restart", func() bool { return prefetchWorkers() == 2 })
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "close to reap workers", func() bool { return runtime.NumGoroutine() <= base })
+	waitFor(t, "close to reap workers", func() bool { return prefetchWorkers() == 0 })
 }
 
 // TestPrefetcherNoPool: without a buffer pool there is nowhere to stage
@@ -399,9 +375,10 @@ func TestPrefetcherNoPool(t *testing.T) {
 	}
 }
 
-// TestPrefetchConcurrentScanHammer drives concurrent scans, prefetch
-// requests and invalidations against one file-backed store under
-// -race: the pipeline's locking must keep every scan's records intact.
+// TestPrefetchConcurrentScanHammer drives concurrent scans and
+// overlapping prefetch requests against one file-backed store under
+// -race: the pipeline's locking must keep every scan's records intact
+// and its counters consistent.
 func TestPrefetchConcurrentScanHammer(t *testing.T) {
 	s, lists := prefetchFixture(t, 3)
 	pf := s.Prefetcher()
@@ -445,7 +422,15 @@ func TestPrefetchConcurrentScanHammer(t *testing.T) {
 				return
 			default:
 			}
-			pf.invalidate()
+			// Every list at once: requests overlapping the scanners'
+			// keep the inflight dedup contended.
+			for _, l := range lists {
+				pf.Request(ctx, append([]PageID(nil), l.Pages...))
+			}
+			if st := pf.Stats(); st.Hits > st.Issued {
+				t.Errorf("%d prefetch hits exceed %d issued pages", st.Hits, st.Issued)
+				return
+			}
 			time.Sleep(time.Millisecond)
 		}
 	}()

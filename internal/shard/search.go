@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -17,30 +18,34 @@ import (
 
 // Scatter-gather top-k search.
 //
-// Each shard worker loads its shard's published snapshot, snapshots
-// its entries, then speculatively scores its entries in the global
-// visiting order restricted to its own coordinates (the same
-// comparator over the same bit-identical keys — so the restriction of
-// the global order), and streams one scored buffer per entry to the
-// coordinator over a bounded channel. The coordinator drives the
-// serial branch-and-bound loop over the merged coordinate set through
-// a core.Frontier — the same bookkeeping the single table uses: it
-// pops coordinates from a heap in the exact single-table visiting
-// order, applies the frontier's prune test, and commits a scanned
-// entry by K-way-merging the owning shards' buffers in ascending
-// global TID order — reproducing the single table's within-entry scan
-// order, so the top-k heap sees the same (TID, value) sequence and
-// breaks ties identically. Budget and cancellation checks run in the
-// frontier's Offer against the committed Scanned count only, so early
-// termination cuts at the same transaction. Speculation past the
-// commit frontier is discarded and counted in EntriesSpeculated.
+// Each shard worker ranks its shard's snapshot through a
+// core.RankedStream — the global visiting order restricted to its
+// coordinates, with keys bit-identical to every other shard's — scores
+// the entries in that order speculatively, and sends one buffer per
+// entry over a bounded channel: the coordinate's keys and live count,
+// and its scored transactions in ascending global TID order.
 //
-// Workers take NO lock at all: each runs against the immutable
-// snapshot it loaded, so a concurrent mutation — on its own shard or
-// any other — never stalls a scatter. The merged result is consistent
-// because each worker's (table, globals) pair is internally
-// consistent, and the coordinator's replay only requires per-shard
-// consistency plus the shared partition (invariant 1).
+// The coordinator never ranks. It holds one head buffer per shard; the
+// next coordinate of the global order is the CompareRanked minimum
+// among the heads, and the heads holding it are its owners, whose
+// counts sum to the single table's entry count. It drives the serial
+// branch-and-bound loop through the single table's core.Frontier and
+// commits a scanned entry by K-way-merging the owners' buffers by
+// ascending global TID — the single table's within-entry scan order —
+// so the top-k heap sees the same (TID, value) sequence, and budget
+// and cancellation cut at the same transaction. Scored entries the
+// loop never commits are counted in EntriesSpeculated.
+//
+// What the loop leaves unvisited — the distinct coordinates a
+// bound-order prune break drops, or the largest bound still queued for
+// the certificate — is read once the workers have exited: the unconsumed
+// heads, the buffers still queued, each worker's popped-but-undelivered
+// entry and each stream's tail. So the coordinator closes the streams.
+//
+// Workers take no lock: each runs against the immutable snapshot the
+// coordinator loaded for it, so a concurrent mutation never stalls a
+// scatter, and per-shard consistency plus the shared partition
+// (invariant 1) make the merge consistent.
 
 // scatterWindow is each worker's channel depth: how many entries a
 // shard may score ahead of the commit frontier. Deeper windows hide
@@ -54,304 +59,281 @@ type scoredTID struct {
 	val float64
 }
 
-// entryBuffer is one shard's scored slice of one entry, in ascending
-// global TID order.
+// entryBuffer is one shard's part of one entry.
 type entryBuffer struct {
-	coord signature.Coord
-	cands []scoredTID
+	core.RankedCoord
+	cands []scoredTID // ascending global TID
 }
 
-// shardSnapshot is what the coordinator needs from each shard before
-// replay can start: the occupied coordinates with live counts, and the
-// live total (for the scan budget).
-type shardSnapshot struct {
-	entries []core.EntrySummary
-	live    int
+// scatter is one shard's part of one query. The worker owns stream,
+// pending and ring until it exits; head, hasHead and done are the
+// coordinator's.
+type scatter struct {
+	out        chan entryBuffer
+	stream     *core.RankedStream
+	pending    core.RankedCoord // popped from the stream, not delivered
+	hasPending bool
+	// ring holds the candidate buffers a worker cycles through: the
+	// window in out, the coordinator's head and the one being filled.
+	// The coordinator is done with a head before it receives the next,
+	// so a buffer is never refilled while it is read.
+	ring    [scatterWindow + 2][]scoredTID
+	head    entryBuffer
+	hasHead bool
+	done    bool // out is closed and drained
 }
 
-// mergedEntry is one distinct coordinate across all shards with its
-// serial-replay state.
-type mergedEntry struct {
-	coord  signature.Coord
-	count  int   // summed live count — equals the single table's entry Count
-	owners []int // shard numbers holding this coordinate, ascending
-	opt    float64
-	sort   float64
-	tie    float64
+// gather is one query's coordinator state, pooled per index so that a
+// query's allocations scale with the shard count, not with the
+// entries it visits.
+type gather struct {
+	ws              []scatter
+	stop            chan struct{} // closed by halt
+	stopped         atomic.Bool
+	wg              sync.WaitGroup
+	reads, produced atomic.Int64
+	owners, idx     []int             // the current entry's owners and merge cursors
+	rest            []signature.Coord // unvisited coordinates, for the distinct count
 }
 
-// mergedQueue is a max-heap over mergedEntry in the visiting order,
-// the coordinator's counterpart of core's entry ladder.
-type mergedQueue []*mergedEntry
-
-func (q mergedQueue) before(i, j int) bool {
-	return core.CompareRanked(q[i].sort, q[i].tie, q[i].coord, q[j].sort, q[j].tie, q[j].coord)
+func (x *Index) getGather() *gather {
+	g, _ := x.gathers.Get().(*gather)
+	if g == nil || len(g.ws) != len(x.shards) {
+		g = &gather{ws: make([]scatter, len(x.shards))}
+	}
+	for i := range g.ws {
+		g.ws[i] = scatter{ring: g.ws[i].ring, out: make(chan entryBuffer, scatterWindow)}
+	}
+	g.stop = make(chan struct{})
+	g.stopped.Store(false)
+	g.reads.Store(0)
+	g.produced.Store(0)
+	return g
 }
 
-func (q mergedQueue) heapify() {
-	for i := len(q)/2 - 1; i >= 0; i-- {
-		q.siftDown(i)
+func (x *Index) putGather(g *gather) {
+	g.halt()
+	for i := range g.ws {
+		g.ws[i].stream.Close()
+		g.ws[i].stream, g.ws[i].head = nil, entryBuffer{}
+	}
+	x.gathers.Put(g)
+}
+
+// halt stops the workers and waits for them to exit.
+func (g *gather) halt() {
+	if !g.stopped.Load() {
+		g.stopped.Store(true)
+		close(g.stop)
+		g.wg.Wait()
 	}
 }
 
-func (q mergedQueue) siftDown(i int) {
-	n := len(q)
-	for {
-		l, r := 2*i+1, 2*i+2
-		best := i
-		if l < n && q.before(l, best) {
-			best = l
+// next receives a head from every shard that lacks one and returns the
+// shards whose head is the next coordinate in the global visiting
+// order — none once every stream is exhausted. Each stream restricts
+// that order, so every shard holding the coordinate has it at its head.
+func (g *gather) next() []int {
+	g.owners = g.owners[:0]
+	var best *entryBuffer
+	for i := range g.ws {
+		w := &g.ws[i]
+		if !w.hasHead && !w.done {
+			w.head, w.hasHead = <-w.out
+			w.done = !w.hasHead
 		}
-		if r < n && q.before(r, best) {
-			best = r
+		if !w.hasHead {
+			continue
 		}
-		if best == i {
-			return
+		h := &w.head
+		switch {
+		case best == nil || core.CompareRanked(h.Sort, h.Tie, h.Coord, best.Sort, best.Tie, best.Coord):
+			best = h
+			g.owners = append(g.owners[:0], i)
+		case h.Coord == best.Coord:
+			g.owners = append(g.owners, i)
 		}
-		q[i], q[best] = q[best], q[i]
-		i = best
+	}
+	return g.owners
+}
+
+// consumeRest halts the workers, then consumes every coordinate the
+// loop has not, once per shard holding it, visiting it with its
+// optimistic bound.
+func (g *gather) consumeRest(fn func(c signature.Coord, opt float64)) {
+	g.halt()
+	for i := range g.ws {
+		w := &g.ws[i]
+		if w.hasHead {
+			fn(w.head.Coord, w.head.Opt)
+		}
+		for b := range w.out {
+			fn(b.Coord, b.Opt)
+		}
+		if w.hasPending {
+			fn(w.pending.Coord, w.pending.Opt)
+		}
+		w.hasHead, w.hasPending = false, false
+		w.stream.DrainRest(fn)
 	}
 }
 
-func (q *mergedQueue) popMax() *mergedEntry {
-	old := *q
-	top := old[0]
-	n := len(old) - 1
-	old[0] = old[n]
-	*q = old[:n]
-	(*q).siftDown(0)
-	return top
-}
-
-// drop empties the queue, returning how many entries it held — the
-// prune-break accounting.
-func (q *mergedQueue) drop() int {
-	n := len(*q)
-	*q = (*q)[:0]
-	return n
-}
-
-// maxOpt returns the largest optimistic bound still queued, or -Inf
-// when the queue is empty. In bound order the heap root dominates.
-func (q mergedQueue) maxOpt(by core.SortCriterion) float64 {
-	if len(q) > 0 && by == core.ByOptimisticBound {
-		return q[0].opt
+// dropRest is the prune-break drop: it consumes the rest and counts
+// its distinct coordinates, as the single table counts its entries.
+// One shard's coordinates are distinct already.
+func (g *gather) dropRest() int {
+	g.rest = g.rest[:0]
+	g.consumeRest(func(c signature.Coord, _ float64) { g.rest = append(g.rest, c) })
+	if len(g.ws) > 1 {
+		slices.Sort(g.rest)
 	}
+	return len(slices.Compact(g.rest))
+}
+
+// maxRest consumes the rest and returns its largest optimistic bound,
+// or -Inf when nothing is left.
+func (g *gather) maxRest() float64 {
 	best := math.Inf(-1)
-	for _, u := range q {
-		if u.opt > best {
-			best = u.opt
-		}
-	}
+	g.consumeRest(func(_ signature.Coord, opt float64) { best = max(best, opt) })
 	return best
 }
 
-// scatterTopK is the per-shard worker. It loads the shard's current
-// snapshot once — its whole run is isolated against that version, the
-// way a single-index query runs against the table it loaded — then
-// streams scored entry buffers in its restriction of the global
-// visiting order until done or stopped.
-func (x *Index) scatterTopK(ctx context.Context, s *shard, targets []txn.Transaction, f simfun.Func, by core.SortCriterion,
-	readahead int, snap chan<- shardSnapshot, out chan<- entryBuffer, stop <-chan struct{}, stopped *atomic.Bool,
-	reads, produced *atomic.Int64, wg *sync.WaitGroup) {
-	defer wg.Done()
-	defer close(out)
+// worker is the per-shard worker. It runs against the snapshot st —
+// isolated against that version the way a single-index query runs
+// against the table it loaded — and streams scored entry buffers in
+// its restriction of the global visiting order until done or halted.
+func (g *gather) worker(ctx context.Context, s *shard, st *shardState, w *scatter, plan *core.TargetPlan, targets []txn.Transaction, f simfun.Func, opt core.QueryOptions) {
+	defer g.wg.Done()
+	defer close(w.out)
 
-	st := s.load()
 	s.scans.Add(1)
 	if h := scanStartHook.Load(); h != nil && *h != nil {
 		(*h)(s)
 	}
 
-	t := st.table
-	ents := t.EntrySummaries(nil)
-	snap <- shardSnapshot{entries: ents, live: t.Live()}
-	if len(ents) == 0 {
-		return
-	}
-
-	// Rank own coordinates with the shared plan through the table's
-	// ranked stream: bit-identical keys + the shared comparator ⇒ the
-	// stream order is the global visiting order restricted to this
-	// shard's coordinates. Single-target queries go through the
-	// directory's bit-sliced kernel and sort lazily — a worker stopped
-	// early never pays for ordering its tail.
-	plan := core.NewTargetPlan(x.part, x.r, targets, f)
-	stream := t.NewRankedStream(plan, by)
-	defer stream.Close()
-
-	scorer := core.NewShardScorer(t, targets, f)
+	// The stream exists even when the search has already stopped: the
+	// coordinator consumes its tail. Single-target streams sort
+	// lazily, so a worker stopped early never orders its tail.
+	w.stream = st.table.NewRankedStream(plan, opt.SortBy)
+	scorer := core.NewShardScorer(st.table, targets, f)
 	defer scorer.Release()
-	globals := st.globals
 
-	// Readahead over this worker's restriction of the visiting order:
-	// before scanning a coordinate, offer the next depth upcoming
-	// coordinates' pages to the table's prefetch pipeline. The stream
-	// reports each coordinate at most once.
-	depth := scorer.Readahead(readahead)
+	// Readahead: before scanning a coordinate, offer the pages of the
+	// next depth upcoming ones to the table's prefetch pipeline.
+	depth := scorer.Readahead(opt.ReadaheadDepth)
 	var prefetchBuf []signature.Coord
 
-	for {
-		if stopped.Load() {
-			return
-		}
-		coord, ok := stream.Next()
+	var cands []scoredTID
+	aborted := false
+	collect := func(id txn.TID, val float64) bool {
+		cands = append(cands, scoredTID{gid: st.globals[id], val: val})
+		aborted = len(cands)%core.CancelCheckEvery == 0 && g.stopped.Load()
+		return !aborted
+	}
+	for n := 0; !g.stopped.Load(); n++ {
+		rc, ok := w.stream.NextRanked()
 		if !ok {
 			return
 		}
+		w.pending, w.hasPending = rc, true
 		if depth > 0 {
-			prefetchBuf = stream.Upcoming(depth, prefetchBuf[:0])
+			prefetchBuf = w.stream.Upcoming(depth, prefetchBuf[:0])
 			if len(prefetchBuf) > 0 {
 				scorer.PrefetchCoords(ctx, prefetchBuf)
 			}
 		}
-		var cands []scoredTID
-		aborted := false
-		scorer.ScanCoord(coord, reads, func(id txn.TID, val float64) bool {
-			cands = append(cands, scoredTID{gid: globals[id], val: val})
-			if len(cands)%core.CancelCheckEvery == 0 && stopped.Load() {
-				aborted = true
-				return false
-			}
-			return true
-		})
+		slot := &w.ring[n%len(w.ring)]
+		cands = (*slot)[:0]
+		scorer.ScanCoord(rc.Coord, &g.reads, collect)
+		*slot = cands
 		if aborted {
 			return
 		}
-		produced.Add(1)
+		g.produced.Add(1)
 		select {
-		case out <- entryBuffer{coord: coord, cands: cands}:
-		case <-stop:
+		case w.out <- entryBuffer{RankedCoord: rc, cands: cands}:
+			w.hasPending = false
+		case <-g.stop:
 			return
 		}
 	}
 }
 
-// searchTopK is the coordinator: it scatters workers, merges their
-// snapshots, and drives the single table's branch-and-bound loop
-// decision-for-decision over the merged coordinates.
+// searchTopK is the coordinator: it scatters workers over the shards'
+// published snapshots and drives the single table's branch-and-bound
+// loop decision-for-decision over the merge of their ranked streams.
 func (x *Index) searchTopK(ctx context.Context, targets []txn.Transaction, f simfun.Func, opt core.QueryOptions) (core.Result, error) {
 	opt, err := opt.Normalize()
 	if err != nil {
 		return core.Result{}, err
 	}
-
-	S := len(x.shards)
-	stop := make(chan struct{})
-	var stopped atomic.Bool
-	var stopOnce sync.Once
-	halt := func() {
-		stopOnce.Do(func() {
-			stopped.Store(true)
-			close(stop)
-		})
-	}
-	var reads, produced atomic.Int64
-	var wg sync.WaitGroup
-	snaps := make([]chan shardSnapshot, S)
-	outs := make([]chan entryBuffer, S)
-	for i, s := range x.shards {
-		snaps[i] = make(chan shardSnapshot, 1)
-		outs[i] = make(chan entryBuffer, scatterWindow)
-		wg.Add(1)
-		go x.scatterTopK(ctx, s, targets, f, opt.SortBy, opt.ReadaheadDepth, snaps[i], outs[i], stop, &stopped, &reads, &produced, &wg)
-	}
-
-	// Merge snapshots into the distinct-coordinate set. Owners collect
-	// in ascending shard order; counts sum to the single table's entry
-	// counts.
-	union := make(map[signature.Coord]*mergedEntry)
+	states := make([]*shardState, len(x.shards))
 	totalLive := 0
-	for si := 0; si < S; si++ {
-		sn := <-snaps[si]
-		totalLive += sn.live
-		for _, e := range sn.entries {
-			u := union[e.Coord]
-			if u == nil {
-				u = &mergedEntry{coord: e.Coord}
-				union[e.Coord] = u
-			}
-			u.count += e.Count
-			u.owners = append(u.owners, si)
-		}
+	for i, s := range x.shards {
+		states[i] = s.load()
+		totalLive += states[i].table.Live()
 	}
 	if totalLive == 0 {
-		halt()
-		wg.Wait()
 		return core.Result{Certified: true}, nil
 	}
+
+	g := x.getGather()
+	defer x.putGather(g)
 	plan := core.NewTargetPlan(x.part, x.r, targets, f)
-	q := make(mergedQueue, 0, len(union))
-	for _, u := range union {
-		u.opt, u.sort, u.tie = plan.Rank(u.coord, opt.SortBy)
-		q = append(q, u)
-	}
-	q.heapify()
-
-	// fetch receives the next buffer from each owning shard. Streams
-	// stay aligned because the coordinator consumes every coordinate it
-	// pops — scanned or (in similarity order) pruned — and each shard
-	// produces in the same restricted order the coordinator pops in.
-	fetch := func(u *mergedEntry) []entryBuffer {
-		bufs := make([]entryBuffer, len(u.owners))
-		for i, si := range u.owners {
-			b, ok := <-outs[si]
-			if !ok || b.coord != u.coord {
-				panic(fmt.Sprintf("shard: scatter stream misaligned (shard %d, want %#x)", si, u.coord))
-			}
-			bufs[i] = b
-		}
-		return bufs
+	g.wg.Add(len(x.shards))
+	for i, s := range x.shards {
+		go g.worker(ctx, s, states[i], &g.ws[i], plan, targets, f, opt)
 	}
 
-	// The serial replay: the single table's loop, over merged entries.
 	fr := core.NewFrontier(ctx, opt, totalLive)
 	consumed := 0
-	for fr.Live() && len(q) > 0 {
-		u := q.popMax()
-		if fr.Prune(u.opt, q.drop) {
-			if fr.Live() {
-				fetch(u) // discard, keeping the per-shard streams aligned
-			}
+	for fr.Live() {
+		owners := g.next()
+		if len(owners) == 0 {
+			break
+		}
+		count := 0
+		for _, si := range owners {
+			count += g.ws[si].head.Count
+			g.ws[si].hasHead = false
+		}
+		entryOpt := g.ws[owners[0]].head.Opt
+		if fr.Prune(entryOpt, g.dropRest) {
 			continue
 		}
-		fr.Enter(u.opt, u.count)
-		bufs := fetch(u)
-		consumed += len(bufs)
+		fr.Enter(entryOpt, count)
+		consumed += len(owners)
 
 		// K-way merge by ascending global TID: each buffer is already
 		// ascending (monotone local→global mapping), so the smallest
 		// head across owners is the single table's next transaction.
-		idx := make([]int, len(bufs))
+		g.idx = slices.Grow(g.idx[:0], len(owners))[:len(owners)]
+		clear(g.idx)
 		for {
 			sel := -1
 			var minGid txn.TID
-			for bi := range bufs {
-				if idx[bi] >= len(bufs[bi].cands) {
-					continue
-				}
-				if g := bufs[bi].cands[idx[bi]].gid; sel == -1 || g < minGid {
-					sel, minGid = bi, g
+			for oi, si := range owners {
+				if cands := g.ws[si].head.cands; g.idx[oi] < len(cands) {
+					if gid := cands[g.idx[oi]].gid; sel == -1 || gid < minGid {
+						sel, minGid = oi, gid
+					}
 				}
 			}
 			if sel == -1 {
 				break
 			}
-			c := bufs[sel].cands[idx[sel]]
-			idx[sel]++
+			c := g.ws[owners[sel]].head.cands[g.idx[sel]]
+			g.idx[sel]++
 			if !fr.Offer(c.gid, c.val) {
 				break
 			}
 		}
 		fr.Leave()
 	}
-	res := fr.Finish(q.maxOpt(opt.SortBy))
-
-	halt()
-	wg.Wait()
-	res.PagesRead = reads.Load()
-	res.Workers = S
-	res.EntriesSpeculated = int(produced.Load()) - consumed
+	res := fr.Finish(g.maxRest())
+	res.PagesRead = g.reads.Load()
+	res.Workers = len(x.shards)
+	res.EntriesSpeculated = int(g.produced.Load()) - consumed
 	return res, nil
 }
 

@@ -19,8 +19,12 @@
 //     slice of an entry's transactions in ascending global TID order,
 //     and a K-way merge across shards reproduces the single table's
 //     exact within-entry scan order.
-//  3. The coordinator replays the serial branch-and-bound loop over
-//     the merged coordinate set — same comparator, same prune
+//  3. Each shard worker streams its entries in the global visiting
+//     order restricted to its shard, with their ranking keys, and the
+//     coordinator merges the streams by their heads under the same
+//     comparator (core.CompareRanked), so it visits coordinates in the
+//     single table's order without ranking anything itself. It replays
+//     the serial branch-and-bound loop over that merge — same prune
 //     predicate, same budget and cancellation cadence — while shards
 //     only score speculatively; every prune/offer/stop decision is
 //     made exactly once, in serial order (see search.go).
@@ -137,6 +141,8 @@ type Index struct {
 
 	poolPages   int   // per-shard buffer pool budget
 	decodeBytes int64 // per-shard decode cache budget
+
+	gathers sync.Pool // *gather: k-NN coordinator scratch (search.go)
 
 	route struct {
 		mu  sync.RWMutex

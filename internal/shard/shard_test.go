@@ -258,10 +258,16 @@ func TestQuickShardedMatchesSingle(t *testing.T) {
 // tests below.
 func buildFixture(t *testing.T, n, S int, opt Options) (*Index, *core.Table, *rand.Rand) {
 	t.Helper()
+	return buildFixtureK(t, n, 6, S, opt)
+}
+
+// buildFixtureK is buildFixture over k signatures.
+func buildFixtureK(t *testing.T, n, k, S int, opt Options) (*Index, *core.Table, *rand.Rand) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(7))
 	universe := 40
 	d := randomDataset(rng, n, universe)
-	part := randomPartition(t, rng, universe, 6)
+	part := randomPartition(t, rng, universe, k)
 	ref := txn.NewDataset(universe)
 	for _, tr := range d.All() {
 		ref.Append(tr)

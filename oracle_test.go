@@ -174,3 +174,35 @@ func TestQueryAllocsPinned(t *testing.T) {
 		t.Fatalf("k=1 in-memory Query allocates %v times per query, want <= 10", allocs)
 	}
 }
+
+// TestShardedQueryAllocsPinned pins the sharded coordinator the same
+// way: a k=1 in-memory ShardedIndex.Query on the micro fixture merges
+// hundreds of entries from the shards' ranked streams through pooled
+// per-query scratch and reused per-entry buffers, so its allocations
+// scale with the shard count — per-shard workers, channels, streams
+// and scorers — and not with the entries it visits.
+func TestShardedQueryAllocsPinned(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector randomly drops sync.Pool items, so pooled scratch reallocates")
+	}
+	if testing.Short() {
+		t.Skip("builds the 50k-transaction micro fixture")
+	}
+	m := microSetup(t)
+	ctx := context.Background()
+	for _, S := range []int{1, 4} {
+		sx := shardedSetup(t, fmt.Sprintf("%dshards", S), S, false)
+		i := 0
+		allocs := testing.AllocsPerRun(50, func() {
+			if _, err := sx.Query(ctx, m.queries[i%len(m.queries)], Cosine{}, SearchOptions{K: 1}); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+		limit := float64(100 + 25*S)
+		t.Logf("S=%d: %v allocations per query", S, allocs)
+		if allocs > limit {
+			t.Fatalf("S=%d: k=1 in-memory sharded Query allocates %v times per query, want <= %v", S, allocs, limit)
+		}
+	}
+}
