@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race race-core race-prefetch race-directory race-snapshot race-shard check bench bench-build bench-all docs-check staticcheck
+.PHONY: build test vet race race-core race-directory race-snapshot race-shard check bench bench-build bench-all docs-check staticcheck
 
 build:
 	$(GO) build ./...
@@ -19,20 +19,13 @@ race:
 	$(GO) test -race ./...
 
 # The packages with genuinely concurrent internals — the pager's staged
-# writers, sharded pool and prefetch workers, the parallel build, the
-# parallel range scan, the shared-scan batch's scoring fan-out and
-# concurrent queries sharing pooled scratch, the parallel support
-# counter — get a dedicated race pass so a failure names the layer
+# writers, sharded pool and concurrent coalesced reads, the parallel
+# build, the parallel range scan, the shared-scan batch's scoring
+# fan-out and concurrent queries sharing pooled scratch, the parallel
+# support counter — get a dedicated race pass so a failure names the layer
 # directly instead of drowning in the full-suite run.
 race-core:
 	$(GO) test -race ./internal/pager ./internal/core ./internal/mining
-
-# The prefetch pipeline's dedicated hammer: concurrent queries,
-# inserts and compactions against a file-backed store with prefetch
-# workers attached, under the race detector. The full suite runs these
-# too, but a focused pass keeps the failure signal on the pipeline.
-race-prefetch:
-	$(GO) test -race -run 'Prefetch' ./internal/pager ./internal/core .
 
 # The entry directory's dedicated hammer: concurrent queries against
 # Insert/InsertBatch/Delete/Compact on both engines, plus the
@@ -46,8 +39,11 @@ race-directory:
 # overflow flushes), Compact and Close on both engines, plus the
 # capture-and-replay byte-identity property tests, under the race
 # detector — the focused signal for the snapshot publication protocol.
+# 'Hammer' adds the disk hammer (TestPrefetchHammer): the same races on
+# a file-backed store whose small buffer pool keeps evicting pages
+# under concurrent coalesced scans.
 race-snapshot:
-	$(GO) test -race -run 'Snapshot|MutationDoesNotBlock' ./internal/core ./internal/shard .
+	$(GO) test -race -run 'Snapshot|MutationDoesNotBlock|Hammer' ./internal/core ./internal/shard .
 
 # The sharded engine's dedicated pass: the scatter workers, their
 # per-entry buffer rings and the coordinator's merge of their ranked
@@ -57,7 +53,7 @@ race-shard:
 	$(GO) test -race ./internal/shard
 	$(GO) test -race -run 'Shard' .
 
-check: vet staticcheck docs-check race-core race-prefetch race-directory race-snapshot race-shard race
+check: vet staticcheck docs-check race-core race-directory race-snapshot race-shard race
 
 # staticcheck runs when the binary is on PATH (CI installs it); locally
 # it degrades to a skip notice rather than demanding an install.

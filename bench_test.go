@@ -278,21 +278,19 @@ func BenchmarkQuerySignatureTableNNEarly2pct(b *testing.B) {
 	}
 }
 
-// diskFix caches one file-backed index per BenchmarkQueryDisk case —
-// each sub-benchmark gets its own index so its pool, prefetcher and
-// counters start cold instead of inheriting the previous case's warmup.
+// diskIdx caches the file-backed index BenchmarkQueryDisk queries.
 var (
 	diskMu  sync.Mutex
-	diskFix = map[string]*Index{}
+	diskIdx *Index
 )
 
-func diskSetup(b *testing.B, name string, workers int) *Index {
+func diskSetup(b *testing.B) *Index {
 	b.Helper()
 	m := microSetup(b)
 	diskMu.Lock()
 	defer diskMu.Unlock()
-	if idx, ok := diskFix[name]; ok {
-		return idx
+	if diskIdx != nil {
+		return diskIdx
 	}
 	dir, err := os.MkdirTemp("", "sigtable-bench-")
 	if err != nil {
@@ -301,65 +299,41 @@ func diskSetup(b *testing.B, name string, workers int) *Index {
 	// Coarser signatures than the in-memory micro fixture: fewer,
 	// fatter entries whose lists span runs of consecutive pages, and a
 	// pool holding half the file — the regime where coalesced reads
-	// and readahead have something to do.
+	// have something to do.
 	idx, err := BuildIndex(m.data, IndexOptions{
 		SignatureCardinality: 8,
 		PageSize:             512,
 		PageFile:             filepath.Join(dir, "pages.dat"),
 		BufferPoolPages:      1024,
-		PrefetchWorkers:      workers,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	diskFix[name] = idx
+	diskIdx = idx
 	return idx
 }
 
 // BenchmarkQueryDisk runs the exact k-NN search against the
-// file-backed index with the async prefetch pipeline on (adaptive
-// readahead) and off. The answers are byte-identical either way — the
-// property tests prove it — so the moving parts are the wall clock and
-// the syscall counters reported per op: pagemisses/op (pool misses the
-// scan consumed), backendreads/op (positional preads actually issued —
-// run coalescing is why this is the smaller number), and pfhits/op
-// (pages the scan found already warmed by the pipeline).
+// file-backed index. Besides the wall clock it reports the I/O
+// counters per op: pagemisses/op (pool misses the scan consumed) and
+// backendreads/op (positional preads actually issued — run coalescing
+// is why this is the smaller number).
 func BenchmarkQueryDisk(b *testing.B) {
 	m := microSetup(b)
-	for _, bc := range []struct {
-		name    string
-		workers int
-		depth   int
-	}{
-		{"readahead", 2, 0},
-		{"noprefetch", -1, -1},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			idx := diskSetup(b, bc.name, bc.workers)
-			store := idx.Table().Store()
-			b.ReportAllocs()
-			pf := store.Prefetcher()
-			var hits0 int64
-			if pf != nil {
-				hits0 = pf.Stats().Hits
-			}
-			store.ResetStats()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := idx.Query(context.Background(), m.queries[i%len(m.queries)], Cosine{},
-					QueryOptions{K: 1, ReadaheadDepth: bc.depth}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			st := store.Stats()
-			b.ReportMetric(float64(st.Misses)/float64(b.N), "pagemisses/op")
-			b.ReportMetric(float64(st.BackendReads)/float64(b.N), "backendreads/op")
-			if pf != nil {
-				b.ReportMetric(float64(pf.Stats().Hits-hits0)/float64(b.N), "pfhits/op")
-			}
-		})
+	idx := diskSetup(b)
+	store := idx.Table().Store()
+	b.ReportAllocs()
+	store.ResetStats()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := idx.Query(context.Background(), m.queries[i%len(m.queries)], Cosine{}, SearchOptions{K: 1}); err != nil {
+			b.Fatal(err)
+		}
 	}
+	b.StopTimer()
+	st := store.Stats()
+	b.ReportMetric(float64(st.Misses)/float64(b.N), "pagemisses/op")
+	b.ReportMetric(float64(st.BackendReads)/float64(b.N), "backendreads/op")
 }
 
 // BenchmarkQueryRangeParallel sweeps worker counts over the range scan,
@@ -378,7 +352,7 @@ func BenchmarkQueryRangeParallel(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := m.idx.RangeQuery(context.Background(), m.queries[i%len(m.queries)], constraints, RangeOptions{Parallelism: p}); err != nil {
+				if _, err := m.idx.RangeQuery(context.Background(), m.queries[i%len(m.queries)], constraints, SearchOptions{Parallelism: p}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -413,7 +387,7 @@ func BenchmarkQueryRange(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := m.idx.RangeQuery(context.Background(), m.queries[i%len(m.queries)], constraints, RangeOptions{}); err != nil {
+		if _, err := m.idx.RangeQuery(context.Background(), m.queries[i%len(m.queries)], constraints, SearchOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

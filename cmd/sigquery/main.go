@@ -131,7 +131,7 @@ func main() {
 	}
 
 	if *rangeT != 0 {
-		res, err := idx.RangeQuery(context.Background(), target, []sigtable.RangeConstraint{{F: sim, Threshold: *rangeT}}, sigtable.RangeOptions{})
+		res, err := idx.RangeQuery(context.Background(), target, []sigtable.RangeConstraint{{F: sim, Threshold: *rangeT}}, sigtable.SearchOptions{})
 		if err != nil {
 			fatal("range query: %v", err)
 		}

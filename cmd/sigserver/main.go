@@ -5,20 +5,16 @@
 //	          [-query-timeout 5s] [-max-concurrent 0]
 //	          [-build-parallelism 0] [-page-size 0] [-page-file ""]
 //	          [-page-format v2] [-pool-pages 0]
-//	          [-decode-cache-bytes 0] [-prefetch-workers 0]
-//	          [-readahead 0] [-shards 1]
+//	          [-decode-cache-bytes 0] [-shards 1]
 //
 // With -page-size, -page-format selects the on-page encoding: "v2"
 // (the default) block-compresses records into shared-page frames, "v1"
 // keeps the original one-list-per-page-chain varint layout. Queries
 // answer identically under both.
 //
-// With -pool-pages, -prefetch-workers attaches the async prefetch
-// pipeline: worker goroutines that pull upcoming ranked entries'
-// pages into the buffer pool ahead of each query's scan (0 auto-sizes
-// to 2 workers when -page-file is set, off otherwise; negative
-// disables). -readahead sets the per-search depth in ranked entries
-// (0 = adaptive). Results are identical with and without prefetch.
+// Every start rebuilds the index from -data; -page-file is a build
+// artifact, not a database. Transactions added through /v1/insert (and
+// removed through /v1/delete) live until the process exits.
 //
 // With -shards N > 1 the server runs the sharded engine: transactions
 // are partitioned across N sub-indexes, queries scatter-gather across
@@ -72,8 +68,6 @@ func main() {
 		pageFormat    = flag.String("page-format", "v2", "on-page encoding with -page-size: v2 (block-compressed) or v1 (legacy varint chains)")
 		poolPages     = flag.Int("pool-pages", 0, "sharded clock buffer pool capacity in pages (needs -page-size)")
 		decodeCache   = flag.Int64("decode-cache-bytes", 0, "hot-entry decoded-list cache budget in bytes (needs -page-size, 0 disables)")
-		prefetchW     = flag.Int("prefetch-workers", 0, "async prefetch worker goroutines per store (needs -pool-pages; 0 = auto: 2 with -page-file, off otherwise; negative disables)")
-		readahead     = flag.Int("readahead", 0, "ranked entries offered ahead to the prefetch pipeline per search (0 = adaptive, negative disables)")
 		shards        = flag.Int("shards", 1, "shard the index across this many sub-indexes (1 = single table)")
 		drainTimeout  = flag.Duration("drain-timeout", 10*time.Second, "shutdown grace period for in-flight requests")
 		quiet         = flag.Bool("quiet", false, "disable per-request access logging")
@@ -118,7 +112,6 @@ func main() {
 		PageFormat:           pf,
 		BufferPoolPages:      *poolPages,
 		DecodeCacheBytes:     *decodeCache,
-		PrefetchWorkers:      *prefetchW,
 		BuildParallelism:     *buildPar,
 		Shards:               *shards,
 	}
@@ -146,7 +139,6 @@ func main() {
 		MaxConcurrent:    *maxConcurrent,
 		QueryParallelism: *queryPar,
 		BuildParallelism: *buildPar,
-		ReadaheadDepth:   *readahead,
 	}
 	if !*quiet {
 		opts.Logger = log.Default()

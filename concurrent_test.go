@@ -57,7 +57,7 @@ func TestConcurrentQueryMutate(t *testing.T) {
 				case 1:
 					_, err := idx.RangeQuery(context.Background(), target, []RangeConstraint{
 						{F: MatchSimilarity{}, Threshold: 1},
-					}, RangeOptions{Parallelism: rng.Intn(3)})
+					}, SearchOptions{Parallelism: rng.Intn(3)})
 					if err != nil {
 						fail <- err
 						return

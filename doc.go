@@ -26,10 +26,11 @@
 // Every query entry point takes the same SearchOptions struct: K,
 // MaxScanFraction, SortBy, Parallelism and SharedScan. Earlier
 // releases had three structs — QueryOptions, RangeOptions and
-// BatchOptions — which remain as deprecated aliases of SearchOptions,
-// so existing code compiles unchanged (all three were always used
-// with named fields). New code should say SearchOptions. The only
-// semantic wrinkle is BatchQuery: in the unified form
+// BatchOptions. QueryOptions and BatchOptions remain as deprecated
+// aliases of SearchOptions, so top-k and batch code compiles
+// unchanged; RangeOptions has been removed — range queries take
+// SearchOptions{Parallelism: n}. New code should say SearchOptions.
+// The only semantic wrinkle is BatchQuery: in the unified form
 //
 //	idx.BatchQuery(ctx, targets, f, sigtable.SearchOptions{K: 5, Parallelism: 4})
 //
@@ -135,25 +136,18 @@
 // only to reproduce the old I/O profile (for example, to compare
 // against historical BENCH_PR*.json numbers).
 //
-// # Disk I/O: coalesced reads and readahead
+// # Disk I/O: coalesced reads
 //
-// File-backed indexes (IndexOptions.PageFile) issue their backend
-// reads through two optimizations that never change results, only the
-// I/O profile. First, a scan that misses the buffer pool on a run of
-// consecutive pages fetches the run with a single positional read
-// rather than one syscall per page; per-query counters (PagesRead,
-// pool hits and misses) are unaffected, only the syscall count drops.
-// Second, IndexOptions.PrefetchWorkers attaches an asynchronous
-// prefetch pipeline to the store — 0 auto-attaches two workers when a
-// real page file has a buffer pool, a negative value disables it —
-// and every search engine offers the upcoming entries of its ranked
-// visit order so the pipeline can warm the pool ahead of the scan.
-// SearchOptions.ReadaheadDepth tunes that per search: 0 (the default)
-// uses the pipeline's adaptive depth, a positive value fixes the
-// window, a negative value opts the search out. Pages are write-once,
-// so a prefetched page is never stale, and neighbors, costs and
-// certificates are byte-identical with the pipeline on or off — the
-// test suite asserts it by property testing.
+// File-backed indexes (IndexOptions.PageFile) read pages only from the
+// scan that consumes them. A scan that misses the buffer pool on a run
+// of consecutive pages fetches the run with a single positional read
+// rather than one syscall per page, stopping the run at the first page
+// the pool already holds. Results never change, and neither do the
+// per-query counters (PagesRead, pool hits and misses); only the
+// syscall count drops. There is no background prefetching: an earlier
+// asynchronous prefetch pipeline and its two options cost more CPU
+// than they saved on a cold-cache workload and have been removed, so
+// code that set them no longer compiles — delete the fields.
 //
 // # Entry ranking: the directory
 //

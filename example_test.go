@@ -66,7 +66,7 @@ func ExampleIndex_RangeQuery() {
 	res, _ := idx.RangeQuery(context.Background(), sigtable.NewTransaction(1, 2, 3), []sigtable.RangeConstraint{
 		{F: sigtable.MatchSimilarity{}, Threshold: p},
 		{F: sigtable.HammingSimilarity{}, Threshold: 1.0 / (1 + q)},
-	}, sigtable.RangeOptions{})
+	}, sigtable.SearchOptions{})
 	fmt.Println(res.TIDs)
 	// Output: [0 1]
 }

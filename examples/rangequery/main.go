@@ -36,7 +36,7 @@ func main() {
 	res, err := idx.RangeQuery(context.Background(), target, []sigtable.RangeConstraint{
 		{F: sigtable.MatchSimilarity{}, Threshold: p},
 		{F: sigtable.HammingSimilarity{}, Threshold: 1.0 / float64(1+q)},
-	}, sigtable.RangeOptions{})
+	}, sigtable.SearchOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

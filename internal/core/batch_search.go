@@ -158,16 +158,12 @@ func (t *Table) QueryBatch(ctx context.Context, targets []txn.Transaction, f sim
 		}
 	}()
 
-	// One prefetch hook for the whole batch: an entry's pages need
-	// offering once, no matter how many targets will consume the memo.
-	prefetch := t.prefetchHook(ctx, opt.ReadaheadDepth)
-
 	live := len(bts)
 	for live > 0 {
 		j := pickTarget(bts)
 		bt := bts[j]
 		if !bt.retired() {
-			t.stepTarget(bts, j, memos, fan, prefetch)
+			t.stepTarget(bts, j, memos, fan)
 		}
 		if bt.retired() {
 			t.finishTarget(bts, j, memos, fan)
@@ -215,16 +211,13 @@ func pickTarget(bts []*batchTarget) int {
 // from the shared memo (or producing one) instead of a private scan.
 // Values beyond a budget stop were never computed by the serial loop
 // either — the offer loop stops before scoring them.
-func (t *Table) stepTarget(bts []*batchTarget, j int, memos []*batchMemo, fan int, prefetch func(*entryLadder)) {
+func (t *Table) stepTarget(bts []*batchTarget, j int, memos []*batchMemo, fan int) {
 	bt := bts[j]
 	re := bt.src.Pop()
 	bt.visited[re.idx] = true
 	if bt.fr.Prune(re.opt, bt.src.Drop) {
 		releaseMemoClaim(memos, re.idx, j)
 		return
-	}
-	if prefetch != nil {
-		prefetch(bt.src)
 	}
 	bt.fr.Enter(re.opt, re.e.Count)
 	defer bt.fr.Leave()

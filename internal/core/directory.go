@@ -436,20 +436,6 @@ func (l *entryLadder) Peek() rankedEntry {
 	return l.items[l.pos]
 }
 
-// Prefix visits up to n upcoming items without consuming them — the
-// prefetch hook's lookahead. It walks raw ladder order: exact within
-// sorted buckets, bucket-grouped beyond. It never forces a sort:
-// prefetch lookahead must not pay for ordering the tail.
-func (l *entryLadder) Prefix(n int, fn func(rankedEntry)) {
-	end := l.pos + n
-	if end > len(l.items) {
-		end = len(l.items)
-	}
-	for i := l.pos; i < end; i++ {
-		fn(l.items[i])
-	}
-}
-
 // All visits every remaining entry in unspecified order (the batch
 // engine's per-entry bound memo fill).
 func (l *entryLadder) All(fn func(rankedEntry)) {

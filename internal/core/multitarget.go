@@ -90,5 +90,5 @@ func (t *Table) MultiQuery(ctx context.Context, targets []txn.Transaction, f sim
 	scan := func(e *Entry, reads *atomic.Int64) {
 		t.scanEntry(e, reads, offer)
 	}
-	return searchSerial(fr, src, t.prefetchHook(ctx, opt.ReadaheadDepth), scan), nil
+	return searchSerial(fr, src, scan), nil
 }

@@ -44,13 +44,6 @@ type QueryOptions struct {
 	MaxScanFraction float64
 	// SortBy selects the entry visiting order.
 	SortBy SortCriterion
-	// ReadaheadDepth controls how many upcoming ranked entries the
-	// search offers to the store's prefetch pipeline (disk mode with a
-	// prefetcher attached; ignored otherwise). 0 uses the pipeline's
-	// adaptive depth, a negative value disables prefetch for this
-	// query, a positive value fixes the depth. Results are identical
-	// at every setting — prefetch only warms the buffer pool.
-	ReadaheadDepth int
 }
 
 // Result reports a query's answer and its cost.
@@ -137,20 +130,15 @@ func rankedBefore(a, b rankedEntry) bool {
 // transactions into the frontier. scan must feed every live
 // transaction of the entry to offer and stop when offer returns false;
 // Query and MultiQuery build offer and scan once per search, so the
-// loop allocates nothing per entry. prefetch, when non-nil, offers the
-// next few upcoming entries' pages to the store's prefetch pipeline
-// right before an entry is scanned. Cancellation is checked between
+// loop allocates nothing per entry. Cancellation is checked between
 // entries and every cancelCheckInterval transactions within one, so a
 // deadline aborts mid-scan with whatever was found so far.
-func searchSerial(fr *Frontier, src *entryLadder, prefetch func(*entryLadder), scan func(e *Entry, reads *atomic.Int64)) Result {
+func searchSerial(fr *Frontier, src *entryLadder, scan func(e *Entry, reads *atomic.Int64)) Result {
 	var reads atomic.Int64
 	for fr.Live() && src.Len() > 0 {
 		re := src.Pop()
 		if fr.Prune(re.opt, src.Drop) {
 			continue
-		}
-		if prefetch != nil {
-			prefetch(src)
 		}
 		fr.Enter(re.opt, re.e.Count)
 		scan(re.e, &reads)
@@ -197,7 +185,7 @@ func (t *Table) Query(ctx context.Context, target txn.Transaction, f simfun.Func
 	scan := func(e *Entry, reads *atomic.Int64) {
 		t.scanEntryStats(e, &m, reads, offer)
 	}
-	return searchSerial(fr, src, t.prefetchHook(ctx, opt.ReadaheadDepth), scan), nil
+	return searchSerial(fr, src, scan), nil
 }
 
 // Nearest is shorthand for a run-to-completion single-nearest-neighbor

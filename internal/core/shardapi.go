@@ -1,11 +1,9 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"sync/atomic"
 
-	"sigtable/internal/pager"
 	"sigtable/internal/signature"
 	"sigtable/internal/simfun"
 	"sigtable/internal/txn"
@@ -139,10 +137,9 @@ func (p *TargetPlan) TargetCoord() signature.Coord { return p.coords[0] }
 // from the table's pool: Close it when done. It is not safe for
 // concurrent use.
 type RankedStream struct {
-	t      *Table
-	sc     *queryScratch
-	src    *entryLadder
-	issued []bool
+	t   *Table
+	sc  *queryScratch
+	src *entryLadder
 }
 
 // NewRankedStream ranks the table's entries under the plan and
@@ -161,7 +158,7 @@ func (t *Table) NewRankedStream(p *TargetPlan, by SortCriterion) *RankedStream {
 		}
 		src = t.wrapRanked(sc, items, by)
 	}
-	return &RankedStream{t: t, sc: sc, src: src, issued: make([]bool, len(t.entries))}
+	return &RankedStream{t: t, sc: sc, src: src}
 }
 
 // Len reports how many coordinates remain.
@@ -191,7 +188,6 @@ func (rs *RankedStream) NextRanked() (RankedCoord, bool) {
 		return RankedCoord{}, false
 	}
 	re := rs.src.Pop()
-	rs.issued[re.idx] = true
 	return RankedCoord{Coord: re.e.Coord, Opt: re.opt, Sort: re.sort, Tie: re.tie, Count: re.e.Count}, true
 }
 
@@ -200,21 +196,6 @@ func (rs *RankedStream) NextRanked() (RankedCoord, bool) {
 func (rs *RankedStream) DrainRest(fn func(c signature.Coord, opt float64)) {
 	rs.src.All(func(re rankedEntry) { fn(re.e.Coord, re.opt) })
 	rs.src.Drop()
-}
-
-// Upcoming appends up to depth not-yet-reported upcoming coordinates
-// (in approximate visiting order, without consuming them) to dst — the
-// prefetch lookahead. Each coordinate is reported at most once per
-// stream, so repeated calls cost nothing once the window is covered.
-func (rs *RankedStream) Upcoming(depth int, dst []signature.Coord) []signature.Coord {
-	rs.src.Prefix(depth, func(re rankedEntry) {
-		if rs.issued[re.idx] {
-			return
-		}
-		rs.issued[re.idx] = true
-		dst = append(dst, re.e.Coord)
-	})
-	return dst
 }
 
 // Close returns the stream's scratch to the table's pool.
@@ -332,39 +313,6 @@ func (s *ShardScorer) ScanCoord(c signature.Coord, reads *atomic.Int64, fn func(
 		return
 	}
 	s.t.scanEntry(e, reads, s.whole)
-}
-
-// Readahead resolves a per-query readahead depth request against the
-// table's prefetch pipeline: 0 when the table has no prefetcher or the
-// request disables it, otherwise the depth in upcoming coordinates the
-// shard worker should offer ahead via PrefetchCoords.
-func (s *ShardScorer) Readahead(requested int) int {
-	pf := s.t.prefetcher()
-	if pf == nil {
-		return 0
-	}
-	return pf.Readahead(requested)
-}
-
-// PrefetchCoords offers the page lists of the entries at the given
-// coordinates to the table's prefetch pipeline (no-op without one).
-// Coordinates without an entry or without pages are skipped.
-func (s *ShardScorer) PrefetchCoords(ctx context.Context, coords []signature.Coord) {
-	pf := s.t.prefetcher()
-	if pf == nil {
-		return
-	}
-	var pages []pager.PageID
-	for _, c := range coords {
-		if slot, ok := s.t.byCoord[c]; ok {
-			for _, l := range s.t.entries[slot].lists {
-				pages = append(pages, l.Pages...)
-			}
-		}
-	}
-	if len(pages) > 0 {
-		pf.Request(ctx, pages)
-	}
 }
 
 func (s *ShardScorer) score(tr txn.Transaction) float64 {

@@ -92,14 +92,6 @@ type BuildOptions struct {
 	// built table (entries, TID order, page layout) is identical for
 	// every value.
 	Parallelism int
-	// PrefetchWorkers controls the store's async prefetch pipeline
-	// (pager.Prefetcher), which needs a buffer pool to admit pages
-	// into. 0 auto-attaches 2 workers when the store is file-backed
-	// and pooled (where overlapping real preads with scoring pays);
-	// a positive count attaches that many workers on any pooled store
-	// (in-memory page stores included — useful for tests); a negative
-	// value disables prefetch. Queries opt in via ReadaheadDepth.
-	PrefetchWorkers int
 	// FlushThreshold bounds the in-memory overflow of a disk-mode
 	// entry: when a snapshot insert grows an entry's overflow to this
 	// many transactions, the overflow is encoded onto fresh pages
@@ -186,9 +178,8 @@ type Table struct {
 	pageFile string // base path of a file-backed store ("" = in-memory pages)
 	pageGen  int    // rebuild generation, distinguishes derived file names
 
-	buildPar        int        // requested build parallelism, reused by Rebuild
-	prefetchWorkers int        // requested PrefetchWorkers, reused by Rebuild
-	buildStats      BuildStats // phase wall times of the constructing Build
+	buildPar   int        // requested build parallelism, reused by Rebuild
+	buildStats BuildStats // phase wall times of the constructing Build
 
 	shared *tableShared // pools + overflow counters, shared by all snapshots
 }
@@ -215,14 +206,13 @@ func Build(data *txn.Dataset, part *signature.Partition, opt BuildOptions) (*Tab
 	}
 
 	t := &Table{
-		part:            part,
-		r:               r,
-		data:            data,
-		live:            data.Len(),
-		buildPar:        opt.Parallelism,
-		prefetchWorkers: opt.PrefetchWorkers,
-		flushThreshold:  opt.FlushThreshold,
-		shared:          &tableShared{},
+		part:           part,
+		r:              r,
+		data:           data,
+		live:           data.Len(),
+		buildPar:       opt.Parallelism,
+		flushThreshold: opt.FlushThreshold,
+		shared:         &tableShared{},
 	}
 	if t.flushThreshold == 0 {
 		t.flushThreshold = DefaultFlushThreshold
@@ -279,36 +269,13 @@ func Build(data *txn.Dataset, part *signature.Partition, opt BuildOptions) (*Tab
 		if err := writeEntryLists(t.store, data, t.entries, workers); err != nil {
 			return nil, err
 		}
-		if w := resolvePrefetchWorkers(opt.PrefetchWorkers, opt.PageFile != "", opt.BufferPoolPages > 0); w > 0 {
-			t.store.AttachPrefetcher(w)
-		}
 		t.buildStats.Write = time.Since(start)
 	}
 	return t, nil
 }
 
-// resolvePrefetchWorkers applies the BuildOptions.PrefetchWorkers
-// policy: negative disables, positive is explicit, zero auto-attaches
-// 2 workers only on file-backed pooled stores. The auto case is
-// deliberately narrow — an in-memory page store gains nothing from
-// overlapping "I/O" with scoring, and the test suite builds thousands
-// of such stores whose idle workers would pile up.
-func resolvePrefetchWorkers(requested int, fileBacked, pooled bool) int {
-	switch {
-	case !pooled || requested < 0:
-		return 0
-	case requested > 0:
-		return requested
-	case fileBacked:
-		return 2
-	default:
-		return 0
-	}
-}
-
-// Close stops the store's prefetch workers and releases the backing
-// page file, if any. A memory-mode table is a no-op. The table must
-// not be queried after Close.
+// Close releases the backing page file, if any. A memory-mode table
+// is a no-op. The table must not be queried after Close.
 func (t *Table) Close() error {
 	if t.store != nil {
 		return t.store.Close()

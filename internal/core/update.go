@@ -43,7 +43,7 @@ func (t *Table) RebuildParallel(parallelism int) (*Table, error) {
 		}
 		compact.Append(tr)
 	}
-	opt := BuildOptions{ActivationThreshold: t.r, Parallelism: parallelism, PrefetchWorkers: t.prefetchWorkers, FlushThreshold: t.flushThreshold}
+	opt := BuildOptions{ActivationThreshold: t.r, Parallelism: parallelism, FlushThreshold: t.flushThreshold}
 	gen := 0
 	if t.store != nil {
 		opt.PageSize = t.store.PageSize()

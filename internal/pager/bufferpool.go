@@ -123,10 +123,10 @@ func (s *poolShard) lock() {
 }
 
 // Contains reports whether a page is resident without touching its
-// clock reference bit or the hit/miss counters — the coalescing and
-// prefetch paths probe residency to decide what still needs fetching,
-// and those probes must not distort either the eviction order or the
-// hit-rate metrics.
+// clock reference bit or the hit/miss counters — the coalescing read
+// path probes residency to decide where a run must stop, and those
+// probes must not distort either the eviction order or the hit-rate
+// metrics.
 func (p *BufferPool) Contains(id PageID) bool {
 	s := p.shard(id)
 	s.lock()

@@ -49,12 +49,8 @@ func NewFileStoreFormat(path string, pageSize int, format Format) (*Store, error
 	}, nil
 }
 
-// Close stops the store's prefetch workers, then releases the backing
-// file, if any. Stopping before closing matters: a worker mid-fetch
-// holds the file handle, and StopPrefetcher waits for workers to
-// drain, so no pread ever races the close.
+// Close releases the backing file, if any.
 func (s *Store) Close() error {
-	s.StopPrefetcher()
 	if fb, ok := s.back.(*fileBackend); ok {
 		return fb.f.Close()
 	}

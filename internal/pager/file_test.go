@@ -128,14 +128,25 @@ func TestFileStoreBadPath(t *testing.T) {
 // concurrent scans and interleaved reserve/install writes to fresh
 // slots. With the positional pread/pwrite path there is no shared file
 // offset; under -race this pins down that only the count counter is
-// shared state.
+// shared state. The second pass attaches a buffer pool smaller than
+// the lists, so concurrent coalesced runs race pool admission and
+// eviction as well.
 func TestFileStoreParallelReaders(t *testing.T) {
+	for _, poolPages := range []int{0, 16} {
+		parallelReaders(t, poolPages)
+	}
+}
+
+func parallelReaders(t *testing.T, poolPages int) {
 	path := filepath.Join(t.TempDir(), "pages.dat")
 	s, err := NewFileStore(path, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	if poolPages > 0 {
+		s.AttachPool(poolPages)
+	}
 
 	rng := rand.New(rand.NewSource(9))
 	const nLists = 12

@@ -136,7 +136,6 @@ type Store struct {
 	readRunPages   atomic.Int64
 	pool           *BufferPool
 	decodes        *DecodeCache
-	prefetch       atomic.Pointer[Prefetcher]
 
 	// tail is the open shared page of the v2 writer: frames accumulate
 	// here until the page fills (or Seal flushes it). Guarded by the
@@ -315,9 +314,7 @@ func (s *Store) AttachDecodeCache(maxBytes int64) {
 // InvalidateList evicts the cached decode of one list (no-op without a
 // cache or for a pageless list), leaving every other entry's decode
 // resident. Mutations are scoped to a single entry's list and pages
-// are write-once, so decodes of other lists cannot have gone stale,
-// and the prefetch generation is deliberately left alone — in-flight
-// prefetches only warm the buffer pool with immutable pages.
+// are write-once, so decodes of other lists cannot have gone stale.
 func (s *Store) InvalidateList(l List) {
 	if s.decodes == nil || len(l.Pages) == 0 {
 		return
@@ -350,7 +347,6 @@ func (s *Store) readPage(id PageID, reads *atomic.Int64) []byte {
 	}
 	if s.pool != nil {
 		if data, ok := s.pool.Get(id); ok {
-			s.notePoolHit(id)
 			s.bytesRead.Add(int64(len(data)))
 			return data
 		}
@@ -414,7 +410,6 @@ func (r *runReader) next() []byte {
 	}
 	if r.s.pool != nil {
 		if data, ok := r.s.pool.Get(id); ok {
-			r.s.notePoolHit(id)
 			r.s.bytesRead.Add(int64(len(data)))
 			return data
 		}

@@ -249,34 +249,6 @@ func newOpMetrics(reg *metrics.Registry, s *Server) *opMetrics {
 		reg.CounterFunc("sigtable_read_run_pages_total", "pages fetched by coalesced multi-page backend reads",
 			storeStat(func(st pager.Stats) float64 { return float64(st.ReadRunPages) }))
 
-		// Prefetch-pipeline telemetry. The prefetcher is resolved through
-		// the store at every scrape (it is detached on rebuild and may be
-		// absent entirely); all series read 0 without one.
-		pfStat := func(f func(pager.PrefetchStats) float64) func() float64 {
-			return func() float64 {
-				st := store()
-				if st == nil {
-					return 0
-				}
-				pf := st.Prefetcher()
-				if pf == nil {
-					return 0
-				}
-				return f(pf.Stats())
-			}
-		}
-		reg.CounterFunc("sigtable_prefetch_issued_total", "pages fetched ahead of the scan by prefetch workers",
-			pfStat(func(ps pager.PrefetchStats) float64 { return float64(ps.Issued) }))
-		reg.CounterFunc("sigtable_prefetch_hits_total", "prefetched pages later consumed from the buffer pool",
-			pfStat(func(ps pager.PrefetchStats) float64 { return float64(ps.Hits) }))
-		reg.CounterFunc("sigtable_prefetch_wasted_total", "prefetched pages evicted or invalidated before any consumer arrived",
-			pfStat(func(ps pager.PrefetchStats) float64 { return float64(ps.Wasted) }))
-		reg.CounterFunc("sigtable_prefetch_dropped_total", "prefetched pages discarded before I/O completed: queue overflow or a stale generation",
-			pfStat(func(ps pager.PrefetchStats) float64 { return float64(ps.Dropped) }))
-		reg.GaugeFunc("sigtable_prefetch_workers", "prefetch worker goroutines attached to the store",
-			pfStat(func(ps pager.PrefetchStats) float64 { return float64(ps.Workers) }))
-		reg.GaugeFunc("sigtable_prefetch_depth", "current adaptive readahead depth in ranked entries",
-			pfStat(func(ps pager.PrefetchStats) float64 { return float64(ps.Depth) }))
 	}
 	if pool() != nil {
 		poolStat := func(f func(*pager.BufferPool) float64) func() float64 {

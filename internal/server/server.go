@@ -108,12 +108,6 @@ type Options struct {
 	// /v1/rebuild request does not carry its own "parallelism". 0
 	// selects GOMAXPROCS.
 	BuildParallelism int
-	// ReadaheadDepth is the SearchOptions.ReadaheadDepth applied to
-	// every search: how many upcoming ranked entries each query offers
-	// to the index's prefetch pipeline (when one is attached). 0 uses
-	// the pipeline's adaptive depth, negative disables prefetch.
-	// Results are identical at every setting.
-	ReadaheadDepth int
 	// Logger receives one access-log line per request. nil disables
 	// access logging (request IDs are still assigned).
 	Logger *log.Logger
@@ -460,18 +454,6 @@ type StorageInfo struct {
 	CompressionRatio float64 `json:"compressionRatio"`
 }
 
-// PrefetchInfo is the /v1/stats prefetch section (absent without a
-// prefetch pipeline): the async ranked-entry readahead workers that
-// warm the buffer pool ahead of the branch-and-bound scan.
-type PrefetchInfo struct {
-	Workers int   `json:"workers"`
-	Depth   int   `json:"depth"`
-	Issued  int64 `json:"issued"`
-	Hits    int64 `json:"hits"`
-	Wasted  int64 `json:"wasted"`
-	Dropped int64 `json:"dropped"`
-}
-
 // SnapshotInfo is the /v1/stats snapshot section: the engine's
 // published-snapshot version, a monotone counter advancing with every
 // Insert/Delete (summed across shards on a sharded engine).
@@ -530,7 +512,6 @@ type StatsResponse struct {
 	Storage      *StorageInfo     `json:"storage,omitempty"`
 	Pool         *PoolInfo        `json:"pool,omitempty"`
 	DecodeCache  *DecodeCacheInfo `json:"decodeCache,omitempty"`
-	Prefetch     *PrefetchInfo    `json:"prefetch,omitempty"`
 	Shards       []ShardInfo      `json:"shards,omitempty"`
 }
 
@@ -733,17 +714,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 				GlobalInvalidations: globalInvs,
 			}
 		}
-		if pf := store.Prefetcher(); pf != nil {
-			ps := pf.Stats()
-			resp.Prefetch = &PrefetchInfo{
-				Workers: ps.Workers,
-				Depth:   ps.Depth,
-				Issued:  ps.Issued,
-				Hits:    ps.Hits,
-				Wasted:  ps.Wasted,
-				Dropped: ps.Dropped,
-			}
-		}
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -782,7 +752,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		K:               req.K,
 		MaxScanFraction: req.MaxScanFraction,
 		SortBy:          sortBy,
-		ReadaheadDepth:  s.opt.ReadaheadDepth,
 	})
 	if err != nil {
 		s.writeErr(w, http.StatusBadRequest, CodeBadRequest, "%v", err)
@@ -827,7 +796,7 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	start := time.Now()
 
-	res, err := s.idx.RangeQuery(ctx, target, constraints, sigtable.RangeOptions{Parallelism: par})
+	res, err := s.idx.RangeQuery(ctx, target, constraints, sigtable.SearchOptions{Parallelism: par})
 	if err != nil {
 		s.writeErr(w, http.StatusBadRequest, CodeBadRequest, "%v", err)
 		return
@@ -875,7 +844,6 @@ func (s *Server) handleMulti(w http.ResponseWriter, r *http.Request) {
 	res, err := s.idx.MultiQuery(ctx, targets, f, sigtable.SearchOptions{
 		K:               req.K,
 		MaxScanFraction: req.MaxScanFraction,
-		ReadaheadDepth:  s.opt.ReadaheadDepth,
 	})
 	if err != nil {
 		s.writeErr(w, http.StatusBadRequest, CodeBadRequest, "%v", err)
@@ -932,14 +900,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	start := time.Now()
 
-	results, err := s.idx.BatchQuery(ctx, targets, f, sigtable.QueryOptions{
+	results, err := s.idx.BatchQuery(ctx, targets, f, sigtable.SearchOptions{
 		K:               req.K,
 		MaxScanFraction: req.MaxScanFraction,
 		SortBy:          sortBy,
-		ReadaheadDepth:  s.opt.ReadaheadDepth,
-	}, sigtable.BatchOptions{
-		SharedScan:  req.SharedScan,
-		Parallelism: req.Parallelism,
+		SharedScan:      req.SharedScan,
+		Parallelism:     req.Parallelism,
 	})
 	if err != nil {
 		s.writeErr(w, http.StatusBadRequest, CodeBadRequest, "%v", err)

@@ -115,9 +115,8 @@ func referenceSearch(x *Index, targets []txn.Transaction, f simfun.Func, opt cor
 // TestShardedRankerIdentity runs sharded queries against
 // referenceSearch, asserting the deterministic Result fields match
 // exactly. The per-shard worker streams entries through
-// core.RankedStream, so this pins the whole scatter path — ranking,
-// prefetch lookahead and the merged-queue alignment — to the reference
-// visiting order.
+// core.RankedStream, so this pins the whole scatter path — ranking
+// and the merged-queue alignment — to the reference visiting order.
 func TestShardedRankerIdentity(t *testing.T) {
 	ctx := context.Background()
 

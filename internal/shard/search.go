@@ -202,7 +202,7 @@ func (g *gather) maxRest() float64 {
 // isolated against that version the way a single-index query runs
 // against the table it loaded — and streams scored entry buffers in
 // its restriction of the global visiting order until done or halted.
-func (g *gather) worker(ctx context.Context, s *shard, st *shardState, w *scatter, plan *core.TargetPlan, targets []txn.Transaction, f simfun.Func, opt core.QueryOptions) {
+func (g *gather) worker(s *shard, st *shardState, w *scatter, plan *core.TargetPlan, targets []txn.Transaction, f simfun.Func, opt core.QueryOptions) {
 	defer g.wg.Done()
 	defer close(w.out)
 
@@ -218,11 +218,6 @@ func (g *gather) worker(ctx context.Context, s *shard, st *shardState, w *scatte
 	scorer := core.NewShardScorer(st.table, targets, f)
 	defer scorer.Release()
 
-	// Readahead: before scanning a coordinate, offer the pages of the
-	// next depth upcoming ones to the table's prefetch pipeline.
-	depth := scorer.Readahead(opt.ReadaheadDepth)
-	var prefetchBuf []signature.Coord
-
 	var cands []scoredTID
 	aborted := false
 	collect := func(id txn.TID, val float64) bool {
@@ -236,12 +231,6 @@ func (g *gather) worker(ctx context.Context, s *shard, st *shardState, w *scatte
 			return
 		}
 		w.pending, w.hasPending = rc, true
-		if depth > 0 {
-			prefetchBuf = w.stream.Upcoming(depth, prefetchBuf[:0])
-			if len(prefetchBuf) > 0 {
-				scorer.PrefetchCoords(ctx, prefetchBuf)
-			}
-		}
 		slot := &w.ring[n%len(w.ring)]
 		cands = (*slot)[:0]
 		scorer.ScanCoord(rc.Coord, &g.reads, collect)
@@ -282,7 +271,7 @@ func (x *Index) searchTopK(ctx context.Context, targets []txn.Transaction, f sim
 	plan := core.NewTargetPlan(x.part, x.r, targets, f)
 	g.wg.Add(len(x.shards))
 	for i, s := range x.shards {
-		go g.worker(ctx, s, states[i], &g.ws[i], plan, targets, f, opt)
+		go g.worker(s, states[i], &g.ws[i], plan, targets, f, opt)
 	}
 
 	fr := core.NewFrontier(ctx, opt, totalLive)

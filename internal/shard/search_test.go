@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"fmt"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 
@@ -43,19 +44,24 @@ func (c *errAfter) Err() error {
 // distinct coordinates across shards. Six signatures put nearly every
 // coordinate in every shard; eight leave many in one shard only, so a
 // coordinate dropped from any one of those places changes the answer.
-// The runs are in memory, or on disk with prefetch disabled, where the
-// Frontier is the only caller of Err.
+// The shards' entries live in memory, on in-memory pages, or on a page
+// file behind a buffer pool about a third of the file — the store the
+// sharded benchmark serves from.
 func TestShardedCutShortMatchesSingle(t *testing.T) {
 	for _, fix := range []struct {
-		disk bool
+		disk string
 		k    int
-	}{{false, 6}, {false, 8}, {true, 6}, {true, 8}} {
+	}{{"false", 6}, {"false", 8}, {"true", 6}, {"true", 8}, {"file", 6}, {"file", 8}} {
 		for _, S := range []int{2, 3, 7} {
-			opt := Options{}
-			if fix.disk {
-				opt = Options{PageSize: 256, PrefetchWorkers: -1}
+			var opt Options
+			switch fix.disk {
+			case "true":
+				opt = Options{PageSize: 256}
+			case "file":
+				opt = Options{PageSize: 256, PageFile: filepath.Join(t.TempDir(), "pages.dat"), BufferPoolPages: 24}
 			}
 			x, single, rng := buildFixtureK(t, 4000, fix.k, S, opt)
+			t.Cleanup(func() { x.Close() })
 			opts := []core.QueryOptions{
 				{K: 5},
 				{K: 5, SortBy: core.ByCoordSimilarity},
@@ -64,7 +70,7 @@ func TestShardedCutShortMatchesSingle(t *testing.T) {
 			}
 			for _, qopt := range opts {
 				target := randomTarget(rng, 40)
-				name := fmt.Sprintf("disk=%v/k=%d/S=%d/sort=%v/frac=%v", fix.disk, fix.k, S, qopt.SortBy, qopt.MaxScanFraction)
+				name := fmt.Sprintf("disk=%s/k=%d/S=%d/sort=%v/frac=%v", fix.disk, fix.k, S, qopt.SortBy, qopt.MaxScanFraction)
 				t.Run(name, func(t *testing.T) {
 					checkpoints := 0
 					for n := int64(1); ; n++ {

@@ -67,12 +67,6 @@ type Options struct {
 	// BuildParallelism bounds each shard build's workers (shards
 	// themselves build sequentially).
 	BuildParallelism int
-	// PrefetchWorkers mirrors core.BuildOptions.PrefetchWorkers for
-	// every shard store: 0 auto-attaches prefetch workers on
-	// file-backed pooled shards, positive forces that many per shard,
-	// negative disables. Workers are per shard — they serve only that
-	// shard's page file — so the count is passed through undivided.
-	PrefetchWorkers int
 	// FlushThreshold mirrors core.BuildOptions.FlushThreshold for every
 	// shard: the per-entry overflow size at which a snapshot insert
 	// flushes the entry's disk-mode overflow to fresh pages (0 = the
@@ -230,7 +224,6 @@ func (x *Index) buildOptions(i, gen int) core.BuildOptions {
 		BufferPoolPages:     x.poolPages,
 		DecodeCacheBytes:    x.decodeBytes,
 		Parallelism:         x.opt.BuildParallelism,
-		PrefetchWorkers:     x.opt.PrefetchWorkers,
 		FlushThreshold:      x.opt.FlushThreshold,
 	}
 	if x.opt.PageFile != "" {
@@ -455,20 +448,9 @@ func (x *Index) CompactShard(i, parallelism int) error {
 		x.route.loc[g] = location{shard: int32(i), local: txn.TID(len(newGlobals))}
 		newGlobals = append(newGlobals, g)
 	}
-	x.retire(s, old)
+	s.retired = append(s.retired, old)
 	s.state.Store(&shardState{table: nt, globals: newGlobals})
 	return nil
-}
-
-// retire takes a replaced table out of service without closing it:
-// prefetch workers stop (racing queries simply issue their own reads)
-// but the page file stays open for readers still scanning the old
-// snapshot. Close releases the retired tables. Caller holds s.wmu.
-func (x *Index) retire(s *shard, old *core.Table) {
-	if store := old.Store(); store != nil {
-		store.StopPrefetcher()
-	}
-	s.retired = append(s.retired, old)
 }
 
 // Rebalance redistributes all live transactions into S contiguous
@@ -547,17 +529,17 @@ func (x *Index) Rebalance(parallelism int) error {
 		for local, g := range newGlobals[i] {
 			x.route.loc[g] = location{shard: int32(i), local: txn.TID(local)}
 		}
-		x.retire(s, states[i].table)
+		s.retired = append(s.retired, states[i].table)
 		s.state.Store(&shardState{table: newTables[i], globals: newGlobals[i]})
 		s.gen++
 	}
 	return nil
 }
 
-// Close stops every shard store's prefetch workers and releases the
-// backing page files, if any — current snapshots and tables retired by
-// CompactShard/Rebalance alike. The index must not be queried after
-// Close; the first error is returned but every shard is closed.
+// Close releases every shard store's backing page files, if any —
+// current snapshots and tables retired by CompactShard/Rebalance
+// alike. The index must not be queried after Close; the first error is
+// returned but every shard is closed.
 func (x *Index) Close() error {
 	x.route.mu.Lock()
 	defer x.route.mu.Unlock()

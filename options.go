@@ -30,14 +30,6 @@ type SearchOptions struct {
 	// signature table instead of independent per-target queries; see
 	// BatchQuery. Other searches ignore it.
 	SharedScan bool
-	// ReadaheadDepth controls how many upcoming ranked entries a
-	// search offers to the index's async prefetch pipeline, when one
-	// is attached (see IndexOptions.PrefetchWorkers). 0 uses the
-	// pipeline's adaptive depth, negative disables prefetch for this
-	// search, positive fixes the depth. Without a pipeline the field
-	// is ignored. Results are identical at every setting — prefetch
-	// only warms the buffer pool ahead of the scan.
-	ReadaheadDepth int
 }
 
 // query projects the fields a core top-k search reads.
@@ -46,7 +38,6 @@ func (o SearchOptions) query() core.QueryOptions {
 		K:               o.K,
 		MaxScanFraction: o.MaxScanFraction,
 		SortBy:          o.SortBy,
-		ReadaheadDepth:  o.ReadaheadDepth,
 	}
 }
 
@@ -59,11 +50,6 @@ func (o SearchOptions) ranged() core.RangeOptions {
 // fields of SearchOptions. Existing code compiles unchanged; new code
 // should say SearchOptions.
 type QueryOptions = SearchOptions
-
-// Deprecated: RangeOptions is the pre-unification name for the range
-// fields of SearchOptions (only Parallelism applies). Use
-// SearchOptions.
-type RangeOptions = SearchOptions
 
 // Deprecated: BatchOptions is the pre-unification name for the batch
 // fields of SearchOptions (SharedScan, Parallelism). Use SearchOptions

@@ -253,13 +253,9 @@ func (ix *Index) Compact(parallelism int) error {
 	if err != nil {
 		return err
 	}
-	if store := old.Store(); store != nil {
-		// The swapped-out table's prefetch workers must not linger;
-		// the page file itself stays open (queries racing the swap, and
-		// callers holding a Table() reference, may still scan it) until
-		// Close releases the retired tables.
-		store.StopPrefetcher()
-	}
+	// The swapped-out table's page file stays open (queries racing the
+	// swap, and callers holding a Table() reference, may still scan it)
+	// until Close releases the retired tables.
 	ix.retired = append(ix.retired, old)
 	ix.table.Store(table)
 	ix.statsMu.Lock()

@@ -44,8 +44,8 @@ type Engine interface {
 	Validate() error
 	WriteTo(w io.Writer) (int64, error)
 
-	// Close releases disk resources: prefetch workers stop and page
-	// files close. In-memory engines are a no-op. Idempotent.
+	// Close releases disk resources: page files close. In-memory
+	// engines are a no-op. Idempotent.
 	Close() error
 }
 
@@ -109,7 +109,6 @@ func NewSharded(d *Dataset, opt IndexOptions) (*ShardedIndex, error) {
 		DecodeCacheBytes:    opt.DecodeCacheBytes,
 		PageFormat:          format,
 		BuildParallelism:    opt.BuildParallelism,
-		PrefetchWorkers:     opt.PrefetchWorkers,
 		FlushThreshold:      opt.FlushThreshold,
 	})
 	if err != nil {
@@ -269,7 +268,7 @@ func (sx *ShardedIndex) refreshCoreStats() {
 // routing invariants, returning the first violation.
 func (sx *ShardedIndex) Validate() error { return sx.x.Validate() }
 
-// Close releases every shard's disk resources — prefetch workers stop
-// (and are waited for) and per-shard page files close. Queries must
-// have drained. Close is idempotent; the first error is returned.
+// Close releases every shard's disk resources — per-shard page files
+// close. Queries must have drained. Close is idempotent; the first
+// error is returned.
 func (sx *ShardedIndex) Close() error { return sx.x.Close() }

@@ -227,17 +227,6 @@ type IndexOptions struct {
 	// index is built with NewSharded, which returns the engine type
 	// that can answer for it.
 	Shards int
-	// PrefetchWorkers controls the store's async prefetch pipeline,
-	// which overlaps page I/O with scoring by fetching the entry lists
-	// a search will visit next (the ranked entry queue names them)
-	// into the buffer pool ahead of the scan. It requires
-	// BufferPoolPages. 0 auto-attaches 2 workers when the store is
-	// file-backed and pooled; a positive count attaches that many
-	// workers on any pooled store; a negative value disables
-	// prefetching. Per-query readahead is tuned (or disabled) with
-	// SearchOptions.ReadaheadDepth. With the sharded engine the count
-	// applies per shard. Results are identical at every setting.
-	PrefetchWorkers int
 	// FlushThreshold sets the per-entry overflow size at which a
 	// disk-mode Insert flushes the entry's in-memory overflow to fresh
 	// pages appended to its list (amortizing insert cost and keeping
@@ -368,7 +357,6 @@ func BuildIndex(d *Dataset, opt IndexOptions) (*Index, error) {
 		DecodeCacheBytes:    opt.DecodeCacheBytes,
 		PageFormat:          format,
 		Parallelism:         opt.BuildParallelism,
-		PrefetchWorkers:     opt.PrefetchWorkers,
 		FlushThreshold:      opt.FlushThreshold,
 	})
 	if err != nil {
@@ -536,10 +524,10 @@ func (ix *Index) Table() *core.Table {
 	return ix.load()
 }
 
-// Close releases the index's disk resources: prefetch workers stop
-// (and are waited for) and the page file, if any, is closed — for the
-// current snapshot and any tables retired by Compact. Queries must
-// have drained; an in-memory index without a store is a no-op.
+// Close releases the index's disk resources: the page file, if any,
+// is closed — for the current snapshot and any tables retired by
+// Compact. Queries must have drained; an in-memory index without a
+// store is a no-op.
 func (ix *Index) Close() error {
 	ix.wmu.Lock()
 	defer ix.wmu.Unlock()

@@ -154,7 +154,7 @@ func TestRangeQueryPublic(t *testing.T) {
 	target := data.Get(55)
 	res, err := idx.RangeQuery(context.Background(), target, []RangeConstraint{
 		{F: MatchSimilarity{}, Threshold: float64(target.Len())}, // exact superset matches
-	}, RangeOptions{})
+	}, SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

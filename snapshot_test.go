@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"sigtable/internal/core"
 )
@@ -245,11 +246,26 @@ func TestSnapshotShardedMatchesSingle(t *testing.T) {
 	}
 }
 
+// waitGoroutines polls until the live goroutine count drops to at most
+// want, failing after five seconds. Counting goroutines is inherently
+// racy against the runtime's own background work, so the assertions
+// here compare against a baseline taken in the same test.
+func waitGoroutines(t *testing.T, label string, want int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: %d goroutines still live, want <= %d", label, runtime.NumGoroutine(), want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestSnapshotHammer is the race-detector proof for the snapshot
 // engine (`make race-snapshot` runs it): queries, inserts, deletes,
 // threshold-triggered overflow flushes and full compactions all race
-// on one disk-backed index with prefetch workers attached, then the
-// index is validated and closed with no goroutine left behind.
+// on one disk-backed pooled index, then the index is validated and
+// closed with no goroutine left behind.
 func TestSnapshotHammer(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	data := testDataset(t, 400, 35)
@@ -259,7 +275,6 @@ func TestSnapshotHammer(t *testing.T) {
 		PageFile:             filepath.Join(t.TempDir(), "pages.dat"),
 		BufferPoolPages:      64,
 		DecodeCacheBytes:     1 << 18,
-		PrefetchWorkers:      2,
 		FlushThreshold:       4,
 	})
 	if err != nil {
