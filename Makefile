@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race race-core race-directory race-snapshot race-shard check bench bench-build bench-all docs-check staticcheck
+.PHONY: build test vet race race-core race-directory race-snapshot race-shard check perfbench-check bench bench-build bench-all docs-check staticcheck
 
 build:
 	$(GO) build ./...
@@ -53,7 +53,14 @@ race-shard:
 	$(GO) test -race ./internal/shard
 	$(GO) test -race -run 'Shard' .
 
-check: vet staticcheck docs-check race-core race-directory race-snapshot race-shard race
+check: vet staticcheck docs-check perfbench-check race-core race-directory race-snapshot race-shard race
+
+# perfbench is its own module (it replaces sigtable with ../), so
+# `go build ./...` and `go vet ./...` never compile it. This target
+# builds, vets and unit-tests it, catching a change to an identifier
+# the benchmark harness still names before the benchmark run does.
+perfbench-check:
+	cd perfbench && $(GO) vet . && $(GO) test .
 
 # staticcheck runs when the binary is on PATH (CI installs it); locally
 # it degrades to a skip notice rather than demanding an install.
@@ -67,8 +74,8 @@ staticcheck:
 # Machine-readable micro-benchmarks (the numbers BENCH_PR<n>.json
 # archives): per-query latency/allocations, the sharded engine's
 # scatter-gather at 1/4/8 shards (memory and disk), independent vs
-# shared-scan batches, the page-codec scan and fused-score kernels (v1
-# vs v2), the build pipeline serial vs parallel, support counting, the
+# shared-scan batches, the page-codec scan and fused-score kernels
+# (memory and file-backed pages), the build pipeline serial vs parallel, support counting, the
 # buffer-pool hammer, and the mixed read/write workload under snapshot
 # publication (query-ns/op and decode-cache hit rate under 1% writes).
 # delta_vs ratios compare each shared benchmark against the newest

@@ -4,13 +4,10 @@
 //	sigserver -data baskets.dat [-addr :8080] [-K 15] [-r 1]
 //	          [-query-timeout 5s] [-max-concurrent 0]
 //	          [-build-parallelism 0] [-page-size 0] [-page-file ""]
-//	          [-page-format v2] [-pool-pages 0]
-//	          [-decode-cache-bytes 0] [-shards 1]
+//	          [-pool-pages 0] [-decode-cache-bytes 0] [-shards 1]
 //
-// With -page-size, -page-format selects the on-page encoding: "v2"
-// (the default) block-compresses records into shared-page frames, "v1"
-// keeps the original one-list-per-page-chain varint layout. Queries
-// answer identically under both.
+// With -page-size, transaction lists are stored in block-compressed
+// frames packed into shared pages.
 //
 // Every start rebuilds the index from -data; -page-file is a build
 // artifact, not a database. Transactions added through /v1/insert (and
@@ -65,7 +62,6 @@ func main() {
 		buildPar      = flag.Int("build-parallelism", 0, "index build/rebuild workers (0 = GOMAXPROCS, 1 = serial)")
 		pageSize      = flag.Int("page-size", 0, "store transaction lists on simulated disk pages of this many bytes (0 = in memory)")
 		pageFile      = flag.String("page-file", "", "back the page store with a real file at this path (needs -page-size)")
-		pageFormat    = flag.String("page-format", "v2", "on-page encoding with -page-size: v2 (block-compressed) or v1 (legacy varint chains)")
 		poolPages     = flag.Int("pool-pages", 0, "sharded clock buffer pool capacity in pages (needs -page-size)")
 		decodeCache   = flag.Int64("decode-cache-bytes", 0, "hot-entry decoded-list cache budget in bytes (needs -page-size, 0 disables)")
 		shards        = flag.Int("shards", 1, "shard the index across this many sub-indexes (1 = single table)")
@@ -93,23 +89,12 @@ func main() {
 		log.Fatalf("sigserver: reading %s: %v", *dataPath, err)
 	}
 
-	var pf sigtable.PageFormat
-	switch *pageFormat {
-	case "", "v2":
-		pf = sigtable.PageFormatV2
-	case "v1":
-		pf = sigtable.PageFormatV1
-	default:
-		log.Fatalf("sigserver: unknown -page-format %q (want v1 or v2)", *pageFormat)
-	}
-
 	start := time.Now()
 	iopt := sigtable.IndexOptions{
 		SignatureCardinality: *kCard,
 		ActivationThreshold:  *r,
 		PageSize:             *pageSize,
 		PageFile:             *pageFile,
-		PageFormat:           pf,
 		BufferPoolPages:      *poolPages,
 		DecodeCacheBytes:     *decodeCache,
 		BuildParallelism:     *buildPar,

@@ -120,21 +120,21 @@
 // reports the accounting (also the sigtable_overflow_* metrics and
 // the /v1/stats overflow section).
 //
-// # Storage formats (migration note)
+// # Storage format (migration note)
 //
-// Disk-mode indexes (IndexOptions.PageSize > 0) choose an on-page
-// encoding through IndexOptions.PageFormat. The zero value selects
-// PageFormatV2, the block-compressed layout introduced after the
-// original release: records are grouped into frames with delta +
+// Disk-mode indexes (IndexOptions.PageSize > 0) store transaction
+// lists in one layout: records are grouped into frames with delta +
 // bit-packed TIDs and item gaps, frames of many lists share pages, and
-// queries score through a fused decode kernel. PageFormatV1 keeps the
-// original one-list-per-page-chain varint layout. Query results are
-// byte-identical under both formats — only page counts and I/O change
-// — so existing code needs no migration: new builds silently get v2,
-// while index files persisted by earlier releases load and rebuild
-// their pages as v1, exactly as written. Pass PageFormatV1 explicitly
-// only to reproduce the old I/O profile (for example, to compare
-// against historical BENCH_PR*.json numbers).
+// queries score through a fused decode kernel. The original
+// one-list-per-page-chain varint layout (v1) has been removed.
+// IndexOptions.PageFormat is deprecated: zero and PageFormatV2 are
+// accepted, and any other value — including 1, the retired v1 layout —
+// fails BuildIndex and NewSharded with an error. The v1 constant is
+// gone, so code that selected v1 no longer compiles; drop the setting.
+// Index files persisted by earlier releases, including ones that
+// recorded the v1 layout, still load: pages are never persisted, and
+// loading rebuilds them from the dataset in the current layout with
+// byte-identical query results.
 //
 // # Disk I/O: coalesced reads
 //

@@ -9,14 +9,14 @@ import (
 	"testing"
 )
 
-// TestPageFormatIdentityPublic: the same disk-mode index built under
-// PageFormatV1 and PageFormatV2 answers every query identically, on
-// both the single-table and the sharded engine. Only the page I/O
-// profile may differ.
+// TestPageFormatIdentityPublic: the same index built in memory and on
+// block-compressed pages answers every query identically, on both the
+// single-table and the sharded engine. Only the page I/O profile may
+// differ.
 func TestPageFormatIdentityPublic(t *testing.T) {
-	build := func(pf PageFormat, shards int) Engine {
+	build := func(pageSize, shards int) Engine {
 		t.Helper()
-		opt := IndexOptions{SignatureCardinality: 9, PageSize: 512, PageFormat: pf}
+		opt := IndexOptions{SignatureCardinality: 9, PageSize: pageSize}
 		if shards > 1 {
 			opt.Shards = shards
 			e, err := NewSharded(testDataset(t, 1500, 53), opt)
@@ -33,7 +33,7 @@ func TestPageFormatIdentityPublic(t *testing.T) {
 	}
 	data := testDataset(t, 1500, 53)
 	for _, shards := range []int{1, 3} {
-		e1, e2 := build(PageFormatV1, shards), build(PageFormatV2, shards)
+		e1, e2 := build(0, shards), build(512, shards)
 		rng := rand.New(rand.NewSource(int64(60 + shards)))
 		for i := 0; i < 8; i++ {
 			target := data.Get(TID(rng.Intn(1500)))
@@ -50,21 +50,36 @@ func TestPageFormatIdentityPublic(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				equalResults(t, "format", want, got)
+				equalResults(t, "memory vs pages", want, got)
 			}
 		}
 	}
 }
 
-// TestPageFormatRejected: an out-of-range PageFormat fails the build
-// instead of silently mapping to a default.
+// TestPageFormatRejected: options the page store cannot honour fail
+// the build with an error instead of silently mapping to a default or
+// panicking inside the pager — an out-of-range or retired (v1)
+// PageFormat, and a page size below the pager's minimum.
 func TestPageFormatRejected(t *testing.T) {
 	d := testDataset(t, 200, 54)
-	if _, err := BuildIndex(d, IndexOptions{SignatureCardinality: 6, PageSize: 512, PageFormat: 9}); err == nil || !strings.Contains(err.Error(), "page format") {
-		t.Fatalf("BuildIndex(PageFormat 9) = %v", err)
-	}
-	if _, err := NewSharded(d, IndexOptions{SignatureCardinality: 6, PageSize: 512, PageFormat: 9, Shards: 2}); err == nil || !strings.Contains(err.Error(), "page format") {
-		t.Fatalf("NewSharded(PageFormat 9) = %v", err)
+	for _, c := range []struct {
+		name string
+		opt  IndexOptions
+		want string
+	}{
+		{"PageFormat 9", IndexOptions{PageSize: 512, PageFormat: 9}, "page format"},
+		{"PageFormat 1", IndexOptions{PageSize: 512, PageFormat: 1}, "page format"},
+		{"PageSize 32", IndexOptions{PageSize: 32}, "page size"},
+	} {
+		opt := c.opt
+		opt.SignatureCardinality = 6
+		if _, err := BuildIndex(d, opt); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("BuildIndex(%s) = %v, want an error naming %q", c.name, err, c.want)
+		}
+		opt.Shards = 2
+		if _, err := NewSharded(d, opt); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("NewSharded(%s) = %v, want an error naming %q", c.name, err, c.want)
+		}
 	}
 }
 
@@ -73,10 +88,16 @@ func TestPageFormatRejected(t *testing.T) {
 // format), the version-1 envelope era (synthesized by patching the two
 // version words and dropping the trailing pageFormat field), and the
 // seed-era headerless layout (the same image with the envelope
-// stripped). All three answer queries identically.
+// stripped). The older two record no page format, which means the
+// retired v1 layout; they load into the current one. All three answer
+// queries like the in-memory index.
 func TestPersistEras(t *testing.T) {
 	data := testDataset(t, 1000, 55)
 	idx, err := BuildIndex(data, IndexOptions{SignatureCardinality: 9, PageSize: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem, err := BuildIndex(testDataset(t, 1000, 55), IndexOptions{SignatureCardinality: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +118,8 @@ func TestPersistEras(t *testing.T) {
 		}
 		return res
 	}
-	want := query(idx)
+	want := query(mem)
+	equalResults(t, "built on pages", want, query(idx))
 
 	// Current era.
 	now, err := ReadIndex(bytes.NewReader(cur), data)

@@ -9,49 +9,50 @@ import (
 	"sigtable/internal/txn"
 )
 
-// Cross-format identity: a table built under the v1 page layout and a
-// table built under the block-compressed v2 layout must answer every
-// query identically — same neighbors, same counters, same certificate.
-// PagesRead legitimately differs (that is the point of v2), as do
-// Workers and EntriesSpeculated (scheduling noise), so those fields are
-// excluded.
+// Cross-storage identity: a table holding its lists in memory and a
+// table holding them on block-compressed pages must answer every query
+// identically — same neighbors, same counters, same certificate. The
+// memory table scores materialized transactions; the paged one scores
+// through the fused decode-and-score kernel. PagesRead legitimately
+// differs, as do Workers and EntriesSpeculated (scheduling noise), so
+// those fields are excluded.
 
-// checkResultEqual compares the format-independent fields of two
+// checkResultEqual compares the storage-independent fields of two
 // Results.
-func checkResultEqual(t *testing.T, label string, v1, v2 Result) {
+func checkResultEqual(t *testing.T, label string, a, b Result) {
 	t.Helper()
-	if len(v1.Neighbors) != len(v2.Neighbors) {
-		t.Fatalf("%s: neighbor count %d (v1) != %d (v2)", label, len(v1.Neighbors), len(v2.Neighbors))
+	if len(a.Neighbors) != len(b.Neighbors) {
+		t.Fatalf("%s: neighbor count %d != %d", label, len(a.Neighbors), len(b.Neighbors))
 	}
-	for i := range v1.Neighbors {
-		if v1.Neighbors[i] != v2.Neighbors[i] {
-			t.Fatalf("%s: neighbor %d: %+v (v1) != %+v (v2)", label, i, v1.Neighbors[i], v2.Neighbors[i])
+	for i := range a.Neighbors {
+		if a.Neighbors[i] != b.Neighbors[i] {
+			t.Fatalf("%s: neighbor %d: %+v != %+v", label, i, a.Neighbors[i], b.Neighbors[i])
 		}
 	}
-	if v1.Scanned != v2.Scanned {
-		t.Fatalf("%s: Scanned %d (v1) != %d (v2)", label, v1.Scanned, v2.Scanned)
+	if a.Scanned != b.Scanned {
+		t.Fatalf("%s: Scanned %d != %d", label, a.Scanned, b.Scanned)
 	}
-	if v1.EntriesScanned != v2.EntriesScanned {
-		t.Fatalf("%s: EntriesScanned %d (v1) != %d (v2)", label, v1.EntriesScanned, v2.EntriesScanned)
+	if a.EntriesScanned != b.EntriesScanned {
+		t.Fatalf("%s: EntriesScanned %d != %d", label, a.EntriesScanned, b.EntriesScanned)
 	}
-	if v1.EntriesPruned != v2.EntriesPruned {
-		t.Fatalf("%s: EntriesPruned %d (v1) != %d (v2)", label, v1.EntriesPruned, v2.EntriesPruned)
+	if a.EntriesPruned != b.EntriesPruned {
+		t.Fatalf("%s: EntriesPruned %d != %d", label, a.EntriesPruned, b.EntriesPruned)
 	}
-	if v1.Certified != v2.Certified {
-		t.Fatalf("%s: Certified %v (v1) != %v (v2)", label, v1.Certified, v2.Certified)
+	if a.Certified != b.Certified {
+		t.Fatalf("%s: Certified %v != %v", label, a.Certified, b.Certified)
 	}
-	if v1.BestPossible != v2.BestPossible {
-		t.Fatalf("%s: BestPossible %v (v1) != %v (v2)", label, v1.BestPossible, v2.BestPossible)
+	if a.BestPossible != b.BestPossible {
+		t.Fatalf("%s: BestPossible %v != %v", label, a.BestPossible, b.BestPossible)
 	}
 }
 
-// crossFormatTables builds the same dataset under both page formats.
+// crossFormatTables builds the same dataset in memory and on pages.
 func crossFormatTables(t *testing.T, rng *rand.Rand, n, universe, k, pageSize int) (*Table, *Table, *txn.Dataset) {
 	t.Helper()
 	d := randomDataset(rng, n, universe)
 	part := randomPartition(t, rng, universe, k)
-	t1 := buildTestTable(t, d, part, BuildOptions{PageSize: pageSize, PageFormat: 1})
-	t2 := buildTestTable(t, d, part, BuildOptions{PageSize: pageSize, PageFormat: 2})
+	t1 := buildTestTable(t, d, part, BuildOptions{})
+	t2 := buildTestTable(t, d, part, BuildOptions{PageSize: pageSize})
 	return t1, t2, d
 }
 
@@ -136,15 +137,15 @@ func TestCrossFormatRangeIdentity(t *testing.T) {
 				t.Fatal(err)
 			}
 			if len(r1.TIDs) != len(r2.TIDs) {
-				t.Fatalf("range: %d TIDs (v1) != %d (v2)", len(r1.TIDs), len(r2.TIDs))
+				t.Fatalf("range: %d TIDs (memory) != %d (pages)", len(r1.TIDs), len(r2.TIDs))
 			}
 			for i := range r1.TIDs {
 				if r1.TIDs[i] != r2.TIDs[i] {
-					t.Fatalf("range: TID %d: %d (v1) != %d (v2)", i, r1.TIDs[i], r2.TIDs[i])
+					t.Fatalf("range: TID %d: %d (memory) != %d (pages)", i, r1.TIDs[i], r2.TIDs[i])
 				}
 			}
 			if r1.Scanned != r2.Scanned || r1.EntriesScanned != r2.EntriesScanned || r1.EntriesPruned != r2.EntriesPruned {
-				t.Fatalf("range counters differ: v1 %+v, v2 %+v", r1, r2)
+				t.Fatalf("range counters differ: memory %+v, pages %+v", r1, r2)
 			}
 		}
 	}
@@ -171,7 +172,7 @@ func TestCrossFormatMultiTargetIdentity(t *testing.T) {
 // TestCrossFormatMutationIdentity interleaves inserts and deletes
 // (overflow TIDs, tombstones) with queries, then compacts via Rebuild
 // and queries again — the whole maintenance lifecycle must stay
-// format-independent.
+// storage-independent.
 func TestCrossFormatMutationIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	// Each table gets its own dataset copy: Insert appends to the
@@ -182,8 +183,8 @@ func TestCrossFormatMutationIdentity(t *testing.T) {
 		d2.Append(tr)
 	}
 	part := randomPartition(t, rng, 80, 7)
-	t1 := buildTestTable(t, d, part, BuildOptions{PageSize: 512, PageFormat: 1})
-	t2 := buildTestTable(t, d2, part, BuildOptions{PageSize: 512, PageFormat: 2})
+	t1 := buildTestTable(t, d, part, BuildOptions{})
+	t2 := buildTestTable(t, d2, part, BuildOptions{PageSize: 512})
 	ctx := context.Background()
 
 	check := func(label string) {
@@ -210,7 +211,7 @@ func TestCrossFormatMutationIdentity(t *testing.T) {
 		t1, id1 = t1.InsertSnapshot(tr)
 		t2, id2 = t2.InsertSnapshot(tr)
 		if id1 != id2 {
-			t.Fatalf("insert %d: TID %d (v1) != %d (v2)", i, id1, id2)
+			t.Fatalf("insert %d: TID %d (memory) != %d (pages)", i, id1, id2)
 		}
 	}
 	for i := 0; i < 40; i++ {
@@ -219,7 +220,7 @@ func TestCrossFormatMutationIdentity(t *testing.T) {
 		t1, ok1 = t1.DeleteSnapshot(id)
 		t2, ok2 = t2.DeleteSnapshot(id)
 		if ok1 != ok2 {
-			t.Fatalf("delete %d: %v (v1) != %v (v2)", id, ok1, ok2)
+			t.Fatalf("delete %d: %v (memory) != %v (pages)", id, ok1, ok2)
 		}
 	}
 	check("mutated")
@@ -232,25 +233,22 @@ func TestCrossFormatMutationIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := r1.store.Format(); got != 1 {
-		t.Fatalf("v1 rebuild format = %v, want v1", got)
-	}
-	if got := r2.store.Format(); got != 2 {
-		t.Fatalf("v2 rebuild format = %v, want v2", got)
+	if r1.store != nil || r2.store == nil {
+		t.Fatalf("rebuild changed storage: memory store %v, paged store %v", r1.store, r2.store)
 	}
 	t1, t2 = r1, r2
 	check("rebuilt")
 }
 
 // TestCrossFormatDecodeCacheIdentity runs the same queries with a
-// decode cache attached to both stores: the cached path must not
+// decode cache attached to the paged store: the cached path must not
 // change any result either.
 func TestCrossFormatDecodeCacheIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
 	d := randomDataset(rng, 500, 80)
 	part := randomPartition(t, rng, 80, 7)
-	t1 := buildTestTable(t, d, part, BuildOptions{PageSize: 512, PageFormat: 1, DecodeCacheBytes: 1 << 20})
-	t2 := buildTestTable(t, d, part, BuildOptions{PageSize: 512, PageFormat: 2, DecodeCacheBytes: 1 << 20})
+	t1 := buildTestTable(t, d, part, BuildOptions{})
+	t2 := buildTestTable(t, d, part, BuildOptions{PageSize: 512, DecodeCacheBytes: 1 << 20})
 	ctx := context.Background()
 	for qi := 0; qi < 15; qi++ {
 		target := randomTarget(rng, 80)

@@ -12,7 +12,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"sigtable/internal/pager"
 	"sigtable/internal/signature"
 	"sigtable/internal/simfun"
 	"sigtable/internal/topk"
@@ -356,14 +355,13 @@ func identityOf(t *testing.T, res Result) identityFields {
 // TestQueryByteIdentityAcrossRankers runs the same queries through
 // every engine driven by the directory ladder (serial, batch,
 // multi-target) and through referenceSearch over the reference order,
-// in both page formats plus memory mode, after random mutation
+// on pages and in memory mode, after random mutation
 // interleavings, with and without a scan budget, asserting the
 // deterministic Result fields agree exactly.
 func TestQueryByteIdentityAcrossRankers(t *testing.T) {
 	formats := []BuildOptions{
 		{},
-		{PageSize: 128, PageFormat: pager.FormatV1},
-		{PageSize: 128, PageFormat: pager.FormatV2},
+		{PageSize: 128},
 	}
 	for seed := int64(0); seed < 6; seed++ {
 		for fi, bopt := range formats {

@@ -24,11 +24,12 @@ import (
 //	entryCount uint32
 //	entryCount × { coord uvarint, count uvarint, tid deltas uvarint }
 //	pageSize uint32 (0 = memory mode)
-//	pageFormat uint32 (version >= 2; 0 in memory mode)
+//	pageFormat uint32 (version >= 2; 0 in memory mode, 2 in disk mode)
 //
-// Version 1 files end at pageSize; loading one in disk mode rebuilds
-// the lists under the v1 page format, which is what that era's writers
-// produced.
+// Version 1 files end at pageSize; their disk stores were written in
+// the retired v1 page format. Pages are never persisted — loading a
+// disk-mode image rebuilds the lists from the dataset — so an image
+// recording page format 1 or 2 loads into the current (v2) layout.
 //
 // The file stores only the index structure; transactions live in the
 // dataset file and are referenced by TID.
@@ -126,7 +127,7 @@ func (t *Table) WriteTo(w io.Writer) (int64, error) {
 	pageSize, pageFormat := uint32(0), uint32(0)
 	if t.store != nil {
 		pageSize = uint32(t.store.PageSize())
-		pageFormat = uint32(t.store.Format())
+		pageFormat = uint32(pager.FormatV2)
 	}
 	if err := writeU32(pageSize); err != nil {
 		return n, err
@@ -300,9 +301,9 @@ func ReadTable(r io.Reader, data *txn.Dataset) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Version 1 predates the page-format field; its disk stores were
+	// Version 1 predates the pageFormat word; its disk stores were
 	// always v1-encoded.
-	pageFormat := uint32(pager.FormatV1)
+	pageFormat := uint32(1)
 	if ver >= 2 {
 		pageFormat, err = readU32()
 		if err != nil {
@@ -310,13 +311,13 @@ func ReadTable(r io.Reader, data *txn.Dataset) (*Table, error) {
 		}
 	}
 	if pageSize > 0 {
-		if pageFormat != uint32(pager.FormatV1) && pageFormat != uint32(pager.FormatV2) {
+		// Both recorded formats rebuild into the current layout.
+		if pageFormat != 1 && pageFormat != uint32(pager.FormatV2) {
 			return nil, fmt.Errorf("core: unknown page format %d", pageFormat)
 		}
 		rebuilt, err := Build(data, part, BuildOptions{
 			ActivationThreshold: t.r,
 			PageSize:            int(pageSize),
-			PageFormat:          pager.Format(pageFormat),
 		})
 		if err != nil {
 			return nil, fmt.Errorf("core: rebuilding disk lists: %w", err)

@@ -161,11 +161,14 @@ func TestWriteToRejectsTombstones(t *testing.T) {
 	}
 }
 
-// TestReadTableVersionEras: a version-1 SIGT image — synthesized from
-// the current writer's output by patching the version field and
-// stripping the trailing pageFormat word — still loads, and its disk
-// lists rebuild under the v1 page layout that era's writers produced.
-// The current image round-trips with its page format intact.
+// TestReadTableVersionEras: every SIGT image era loads into the
+// current page layout. The current image records page format 2; a
+// version-1 image — synthesized from the current writer's output by
+// patching the version field and stripping the trailing pageFormat
+// word — implies the retired v1 layout, as does a version-2 image
+// recording page format 1. Pages are rebuilt from the dataset at load,
+// so all three answer identically, and each re-persists as the current
+// image byte for byte.
 func TestReadTableVersionEras(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	d := randomDataset(rng, 300, 30)
@@ -177,39 +180,48 @@ func TestReadTableVersionEras(t *testing.T) {
 		t.Fatal(err)
 	}
 	cur := buf.Bytes()
-
-	now, err := ReadTable(bytes.NewReader(cur), d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := now.Store().Format(); got != pager.FormatV2 {
-		t.Fatalf("current-era load format = %v, want v2", got)
+	if got := binary.LittleEndian.Uint32(cur[len(cur)-4:]); got != uint32(pager.FormatV2) {
+		t.Fatalf("current image records page format %d, want %d", got, pager.FormatV2)
 	}
 
 	// Era one back: version 1, no pageFormat word.
-	old := append([]byte(nil), cur...)
-	binary.LittleEndian.PutUint32(old[4:8], 1)
-	old = old[:len(old)-4]
-	legacy, err := ReadTable(bytes.NewReader(old), d)
-	if err != nil {
-		t.Fatalf("version-1 image refused: %v", err)
-	}
-	if got := legacy.Store().Format(); got != pager.FormatV1 {
-		t.Fatalf("version-1 load format = %v, want v1", got)
-	}
+	v1era := append([]byte(nil), cur...)
+	binary.LittleEndian.PutUint32(v1era[4:8], 1)
+	v1era = v1era[:len(v1era)-4]
+	// Version 2 recording the retired v1 page format.
+	v1pages := append([]byte(nil), cur...)
+	binary.LittleEndian.PutUint32(v1pages[len(v1pages)-4:], 1)
 
-	// Both eras answer identically.
 	target := randomTarget(rng, 30)
 	ctx := context.Background()
-	want, err := now.Query(ctx, target, simfun.Jaccard{}, QueryOptions{K: 5})
+	want, err := orig.Query(ctx, target, simfun.Jaccard{}, QueryOptions{K: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := legacy.Query(ctx, target, simfun.Jaccard{}, QueryOptions{K: 5})
-	if err != nil {
-		t.Fatal(err)
+	for _, era := range []struct {
+		name string
+		img  []byte
+	}{{"current", cur}, {"version 1", v1era}, {"page format 1", v1pages}} {
+		loaded, err := ReadTable(bytes.NewReader(era.img), d)
+		if err != nil {
+			t.Fatalf("%s image refused: %v", era.name, err)
+		}
+		if loaded.Store() == nil || loaded.Store().NumPages() == 0 {
+			t.Fatalf("%s image loaded without pages", era.name)
+		}
+		got, err := loaded.Query(ctx, target, simfun.Jaccard{}, QueryOptions{K: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkResultEqual(t, era.name, want, got)
+		var again bytes.Buffer
+		if _, err := loaded.WriteTo(&again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), cur) {
+			t.Fatalf("%s image re-persists differently from the current image", era.name)
+		}
 	}
-	checkResultEqual(t, "era", want, got)
 
 	// A from-the-future version is refused.
 	future := append([]byte(nil), cur...)

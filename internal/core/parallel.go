@@ -133,12 +133,10 @@ func groupCoords(coords []signature.Coord, workers int) []*Entry {
 // each entry's encoding concurrently (the CPU-heavy half), then places
 // the results in entry order — so for any worker count the resulting
 // page layout is byte-identical to the serial build's, the property
-// internal/core/build_parallel_test.go pins. Under the v1 format,
-// placement itself parallelizes (reserve in order, install
-// concurrently on disjoint pages); under v2, lists share pages, so
+// internal/core/build_parallel_test.go pins. Lists share pages, so
 // placement is a single-goroutine append of pre-encoded frames — cheap
-// next to the staging it follows. Either way the store is sealed
-// before the first read.
+// next to the staging it follows. The store is sealed before the first
+// read.
 func writeEntryLists(store *pager.Store, data *txn.Dataset, entries []*Entry, workers int) error {
 	defer store.Seal()
 	if workers <= 1 {
@@ -196,27 +194,11 @@ func writeEntryLists(store *pager.Store, data *txn.Dataset, entries []*Entry, wo
 		return err.(error)
 	}
 
-	if store.Format() == pager.FormatV2 {
-		// Place: single goroutine, entry order — frames pack onto
-		// shared pages exactly as a serial WriteList sequence would.
-		for i, st := range staged {
-			entries[i].lists = []pager.List{store.AppendStaged(st)}
-			entries[i].tids = nil
-		}
-		return nil
-	}
-
-	// Reserve: single goroutine, entry order — this is what pins the
-	// layout to the serial build's.
-	bases := make([]pager.PageID, len(entries))
+	// Place: single goroutine, entry order — frames pack onto shared
+	// pages exactly as a serial WriteList sequence would.
 	for i, st := range staged {
-		bases[i] = store.ReservePages(st.NumPages())
-	}
-
-	// Install: disjoint ranges, full concurrency.
-	run(func(i int) {
-		entries[i].lists = []pager.List{store.InstallList(bases[i], staged[i])}
+		entries[i].lists = []pager.List{store.AppendStaged(st)}
 		entries[i].tids = nil
-	})
+	}
 	return nil
 }

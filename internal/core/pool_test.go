@@ -6,14 +6,13 @@ import (
 	"path/filepath"
 	"testing"
 
-	"sigtable/internal/pager"
 	"sigtable/internal/simfun"
 	"sigtable/internal/txn"
 )
 
 // Pooled-store identity: a buffer pool only caches pages, so every
 // engine must answer byte-identically — neighbors, costs and PagesRead
-// — with or without one, under both page formats. The pool holds far
+// — with or without one. The pool holds far
 // fewer pages than the store, so scans keep evicting each other's
 // pages and the coalesced reader's runs keep stopping at resident
 // ones. The stores are in memory, which keeps these property tests off
@@ -25,16 +24,14 @@ import (
 // poolTestPages is the pooled twin's buffer pool size.
 const poolTestPages = 4
 
-// pooledPair builds the same dataset twice under one format: without
-// and with a buffer pool.
-func pooledPair(t *testing.T, rng *rand.Rand, n, universe, k, pageSize int, format pager.Format) (*Table, *Table) {
+// pooledPair builds the same dataset twice on pages: without and with
+// a buffer pool.
+func pooledPair(t *testing.T, rng *rand.Rand, n, universe, k, pageSize int) (*Table, *Table) {
 	t.Helper()
 	d := randomDataset(rng, n, universe)
 	part := randomPartition(t, rng, universe, k)
-	plain := buildTestTable(t, d, part, BuildOptions{PageSize: pageSize, PageFormat: format})
-	pooled := buildTestTable(t, d, part, BuildOptions{
-		PageSize: pageSize, PageFormat: format, BufferPoolPages: poolTestPages,
-	})
+	plain := buildTestTable(t, d, part, BuildOptions{PageSize: pageSize})
+	pooled := buildTestTable(t, d, part, BuildOptions{PageSize: pageSize, BufferPoolPages: poolTestPages})
 	if pooled.store.NumPages() < 4*poolTestPages {
 		t.Fatalf("fixture too small: %d pages for a %d-page pool", pooled.store.NumPages(), poolTestPages)
 	}
@@ -53,28 +50,26 @@ func checkPooledEqual(t *testing.T, label string, plain, pooled Result) {
 
 func TestPrefetchQueryIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
-	for _, format := range []pager.Format{1, 2} {
-		plain, pooled := pooledPair(t, rng, 600, 80, 7, 128, format)
-		ctx := context.Background()
-		for qi := 0; qi < 15; qi++ {
-			target := randomTarget(rng, 80)
-			for _, f := range allSimFuncs() {
-				for _, opt := range []QueryOptions{
-					{K: 5},
-					{K: 1},
-					{K: 3, MaxScanFraction: 0.2},
-					{K: 5, SortBy: ByCoordSimilarity},
-				} {
-					r1, err := plain.Query(ctx, target, f, opt)
-					if err != nil {
-						t.Fatal(err)
-					}
-					r2, err := pooled.Query(ctx, target, f, opt)
-					if err != nil {
-						t.Fatal(err)
-					}
-					checkPooledEqual(t, "pooled query", r1, r2)
+	plain, pooled := pooledPair(t, rng, 600, 80, 7, 128)
+	ctx := context.Background()
+	for qi := 0; qi < 15; qi++ {
+		target := randomTarget(rng, 80)
+		for _, f := range allSimFuncs() {
+			for _, opt := range []QueryOptions{
+				{K: 5},
+				{K: 1},
+				{K: 3, MaxScanFraction: 0.2},
+				{K: 5, SortBy: ByCoordSimilarity},
+			} {
+				r1, err := plain.Query(ctx, target, f, opt)
+				if err != nil {
+					t.Fatal(err)
 				}
+				r2, err := pooled.Query(ctx, target, f, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkPooledEqual(t, "pooled query", r1, r2)
 			}
 		}
 	}
@@ -82,7 +77,7 @@ func TestPrefetchQueryIdentity(t *testing.T) {
 
 func TestPrefetchBatchAndMultiIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
-	plain, pooled := pooledPair(t, rng, 600, 80, 7, 128, 2)
+	plain, pooled := pooledPair(t, rng, 600, 80, 7, 128)
 	ctx := context.Background()
 	targets := make([]txn.Transaction, 10)
 	for i := range targets {
@@ -129,9 +124,9 @@ func TestPrefetchMutationIdentity(t *testing.T) {
 		d2.Append(tr)
 	}
 	part := randomPartition(t, rng, 60, 6)
-	plain := buildTestTable(t, d, part, BuildOptions{PageSize: 256, PageFormat: 2, FlushThreshold: 8})
+	plain := buildTestTable(t, d, part, BuildOptions{PageSize: 256, FlushThreshold: 8})
 	pooled := buildTestTable(t, d2, part, BuildOptions{
-		PageSize: 256, PageFormat: 2, BufferPoolPages: poolTestPages, FlushThreshold: 8,
+		PageSize: 256, BufferPoolPages: poolTestPages, FlushThreshold: 8,
 	})
 	ctx := context.Background()
 
@@ -174,7 +169,7 @@ func TestPrefetchMutationIdentity(t *testing.T) {
 
 // TestFileBackedCoalescingReducesBackendReads is the end-to-end syscall
 // acceptance at the core layer: cold branch-and-bound queries over a
-// file-backed v2 table must need at least 25% fewer backend reads than
+// file-backed table must need at least 25% fewer backend reads than
 // pages missed, courtesy of run coalescing.
 func TestFileBackedCoalescingReducesBackendReads(t *testing.T) {
 	rng := rand.New(rand.NewSource(65))
@@ -184,9 +179,8 @@ func TestFileBackedCoalescingReducesBackendReads(t *testing.T) {
 	d := randomDataset(rng, 4000, 40)
 	part := randomPartition(t, rng, 40, 4)
 	tbl := buildTestTable(t, d, part, BuildOptions{
-		PageSize:   128,
-		PageFormat: 2,
-		PageFile:   filepath.Join(t.TempDir(), "pages.dat"),
+		PageSize: 128,
+		PageFile: filepath.Join(t.TempDir(), "pages.dat"),
 	})
 	defer tbl.Close()
 	ctx := context.Background()

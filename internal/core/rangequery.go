@@ -22,9 +22,9 @@ type RangeConstraint struct {
 // RangeOptions tunes a range query's execution.
 type RangeOptions struct {
 	// Parallelism bounds the goroutines scanning entries. 0 selects
-	// GOMAXPROCS; 1 forces the serial path. Unlike the top-k search,
-	// range pruning is independent per entry, so entries are simply
-	// partitioned among workers; the result is identical at every
+	// GOMAXPROCS; 1 scans on the calling goroutine. Unlike the top-k
+	// search, range pruning is independent per entry, so entries are
+	// simply partitioned among workers; the result is identical at every
 	// setting. The constraint functions must be safe for concurrent
 	// Score calls when Parallelism != 1 (every built-in is).
 	Parallelism int
@@ -52,7 +52,7 @@ type RangeResult struct {
 
 // minParallelLive gates the parallel range scan: below this many live
 // transactions a range query is microseconds of work and goroutine
-// startup would dominate, so the serial path runs regardless of the
+// startup would dominate, so one worker scans inline regardless of the
 // requested parallelism. A variable (not a constant) so tests can
 // force the parallel path onto small fixtures.
 var minParallelLive = 4096
@@ -97,41 +97,10 @@ func (t *Table) RangeQuery(ctx context.Context, target txn.Transaction, constrai
 	if workers > len(t.entries) {
 		workers = len(t.entries)
 	}
-	if workers > 1 && t.live >= minParallelLive && ctx.Err() == nil {
-		return t.rangeParallel(ctx, target, constraints, fs, b, m, workers), nil
+	if workers < 2 || t.live < minParallelLive || ctx.Err() != nil {
+		workers = 1
 	}
-
-	res := RangeResult{Workers: 1}
-	var reads atomic.Int64
-	for _, e := range t.entries {
-		if ctx.Err() != nil {
-			res.Interrupted = true
-			break
-		}
-		if rangePrunable(b, e, fs, constraints) {
-			res.EntriesPruned++
-			continue
-		}
-		res.EntriesScanned++
-		t.scanEntryStats(e, &m, &reads, func(id txn.TID, x, y int) bool {
-			res.Scanned++
-			if res.Scanned%cancelCheckInterval == 0 && ctx.Err() != nil {
-				res.Interrupted = true
-				return false
-			}
-			if rangeMatchesXY(x, y, fs, constraints) {
-				res.TIDs = append(res.TIDs, id)
-			}
-			return true
-		})
-		if res.Interrupted {
-			break
-		}
-	}
-
-	sort.Slice(res.TIDs, func(i, j int) bool { return res.TIDs[i] < res.TIDs[j] })
-	res.PagesRead = reads.Load()
-	return res, nil
+	return t.rangeScan(ctx, constraints, fs, b, m, workers), nil
 }
 
 // rangePrunable reports that some constraint's optimistic bound
@@ -157,11 +126,12 @@ func rangeMatchesXY(x, y int, fs []simfun.Func, constraints []RangeConstraint) b
 	return true
 }
 
-// rangeParallel partitions the entries among workers via a shared
-// atomic cursor. Pruning decisions are independent per entry and the
-// final TID list is sorted, so the merged result is identical to the
-// serial scan's (cost counters are order-independent sums).
-func (t *Table) rangeParallel(ctx context.Context, target txn.Transaction, constraints []RangeConstraint, fs []simfun.Func, b *bounder, m matcher, workers int) RangeResult {
+// rangeScan partitions the entries among workers via a shared atomic
+// cursor; with one worker the loop runs inline on the caller's
+// goroutine. Pruning decisions are independent per entry and the final
+// TID list is sorted, so the result is identical at every worker count
+// (cost counters are order-independent sums).
+func (t *Table) rangeScan(ctx context.Context, constraints []RangeConstraint, fs []simfun.Func, b *bounder, m matcher, workers int) RangeResult {
 	var (
 		next        atomic.Int64
 		reads       atomic.Int64
@@ -170,48 +140,55 @@ func (t *Table) rangeParallel(ctx context.Context, target txn.Transaction, const
 		mu     sync.Mutex
 		merged RangeResult
 	)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			var local RangeResult
-			for !interrupted.Load() {
-				i := int(next.Add(1)) - 1
-				if i >= len(t.entries) {
-					break
-				}
-				if ctx.Err() != nil {
-					interrupted.Store(true)
-					break
-				}
-				e := t.entries[i]
-				if rangePrunable(b, e, fs, constraints) {
-					local.EntriesPruned++
-					continue
-				}
-				local.EntriesScanned++
-				t.scanEntryStats(e, &m, &reads, func(id txn.TID, x, y int) bool {
-					local.Scanned++
-					if local.Scanned%cancelCheckInterval == 0 && ctx.Err() != nil {
-						interrupted.Store(true)
-						return false
-					}
-					if rangeMatchesXY(x, y, fs, constraints) {
-						local.TIDs = append(local.TIDs, id)
-					}
-					return true
-				})
+	scan := func() {
+		var local RangeResult
+		for !interrupted.Load() {
+			i := int(next.Add(1)) - 1
+			if i >= len(t.entries) {
+				break
 			}
-			mu.Lock()
-			merged.TIDs = append(merged.TIDs, local.TIDs...)
-			merged.Scanned += local.Scanned
-			merged.EntriesScanned += local.EntriesScanned
-			merged.EntriesPruned += local.EntriesPruned
-			mu.Unlock()
-		}()
+			if ctx.Err() != nil {
+				interrupted.Store(true)
+				break
+			}
+			e := t.entries[i]
+			if rangePrunable(b, e, fs, constraints) {
+				local.EntriesPruned++
+				continue
+			}
+			local.EntriesScanned++
+			t.scanEntryStats(e, &m, &reads, func(id txn.TID, x, y int) bool {
+				local.Scanned++
+				if local.Scanned%cancelCheckInterval == 0 && ctx.Err() != nil {
+					interrupted.Store(true)
+					return false
+				}
+				if rangeMatchesXY(x, y, fs, constraints) {
+					local.TIDs = append(local.TIDs, id)
+				}
+				return true
+			})
+		}
+		mu.Lock()
+		merged.TIDs = append(merged.TIDs, local.TIDs...)
+		merged.Scanned += local.Scanned
+		merged.EntriesScanned += local.EntriesScanned
+		merged.EntriesPruned += local.EntriesPruned
+		mu.Unlock()
 	}
-	wg.Wait()
+	if workers == 1 {
+		scan()
+	} else {
+		var wg sync.WaitGroup
+		wg.Add(workers)
+		for w := 0; w < workers; w++ {
+			go func() {
+				defer wg.Done()
+				scan()
+			}()
+		}
+		wg.Wait()
+	}
 
 	sort.Slice(merged.TIDs, func(i, j int) bool { return merged.TIDs[i] < merged.TIDs[j] })
 	merged.PagesRead = reads.Load()

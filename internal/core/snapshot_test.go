@@ -15,9 +15,9 @@ import (
 )
 
 // snapshotVariants are the storage modes the snapshot protocol must
-// behave identically under: pure memory, uncompressed v1 pages and
-// block-compressed v2 pages (both page formats with a small flush
-// threshold so tests exercise the overflow-flush path).
+// behave identically under: pure memory and block-compressed pages
+// (with a small flush threshold so tests exercise the overflow-flush
+// path).
 func snapshotVariants() []struct {
 	name string
 	opt  BuildOptions
@@ -27,8 +27,7 @@ func snapshotVariants() []struct {
 		opt  BuildOptions
 	}{
 		{"memory", BuildOptions{}},
-		{"disk-v1", BuildOptions{PageSize: 256, PageFormat: pager.FormatV1, FlushThreshold: 4}},
-		{"disk-v2", BuildOptions{PageSize: 256, PageFormat: pager.FormatV2, FlushThreshold: 4}},
+		{"disk-v2", BuildOptions{PageSize: 256, FlushThreshold: 4}},
 	}
 }
 
@@ -222,62 +221,60 @@ func TestSnapshotMatchesOracle(t *testing.T) {
 // snapshots stay readable across the flush, and the flushed table still
 // answers exactly.
 func TestSnapshotOverflowFlush(t *testing.T) {
-	for _, format := range []pager.Format{pager.FormatV1, pager.FormatV2} {
-		t.Run(format.String(), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(15))
-			d := randomDataset(rng, 200, 30)
-			table := buildTestTable(t, d, randomPartition(t, rng, 30, 5),
-				BuildOptions{PageSize: 256, PageFormat: format, FlushThreshold: 8})
-			if table.FlushThreshold() != 8 {
-				t.Fatalf("FlushThreshold = %d", table.FlushThreshold())
-			}
+	t.Run(pager.FormatV2.String(), func(t *testing.T) {
+		rng := rand.New(rand.NewSource(15))
+		d := randomDataset(rng, 200, 30)
+		table := buildTestTable(t, d, randomPartition(t, rng, 30, 5),
+			BuildOptions{PageSize: 256, FlushThreshold: 8})
+		if table.FlushThreshold() != 8 {
+			t.Fatalf("FlushThreshold = %d", table.FlushThreshold())
+		}
 
-			// Hammer one coordinate so its overflow crosses the threshold
-			// several times.
-			novel := txn.New(3, 9, 27)
-			cur := table
-			preFlush := cur
-			for i := 0; i < 40; i++ {
-				cur, _ = cur.InsertSnapshot(novel)
-				if cur.OverflowStats().Flushes == 0 {
-					preFlush = cur
-				}
+		// Hammer one coordinate so its overflow crosses the threshold
+		// several times.
+		novel := txn.New(3, 9, 27)
+		cur := table
+		preFlush := cur
+		for i := 0; i < 40; i++ {
+			cur, _ = cur.InsertSnapshot(novel)
+			if cur.OverflowStats().Flushes == 0 {
+				preFlush = cur
 			}
-			st := cur.OverflowStats()
-			if st.Flushes == 0 {
-				t.Fatalf("no flush after 40 same-entry inserts at threshold 8: %+v", st)
-			}
-			if st.Transactions != 40 {
-				t.Fatalf("overflow transactions = %d, want 40", st.Transactions)
-			}
-			if st.FlushSeconds <= 0 {
-				t.Fatalf("flush seconds not accounted: %+v", st)
-			}
+		}
+		st := cur.OverflowStats()
+		if st.Flushes == 0 {
+			t.Fatalf("no flush after 40 same-entry inserts at threshold 8: %+v", st)
+		}
+		if st.Transactions != 40 {
+			t.Fatalf("overflow transactions = %d, want 40", st.Transactions)
+		}
+		if st.FlushSeconds <= 0 {
+			t.Fatalf("flush seconds not accounted: %+v", st)
+		}
 
-			// A pre-flush snapshot still answers over its own state.
-			_, val, err := preFlush.Nearest(context.Background(), novel, simfun.Jaccard{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if val != 1 {
-				t.Fatalf("pre-flush snapshot lost the inserts: value %v", val)
-			}
+		// A pre-flush snapshot still answers over its own state.
+		_, val, err := preFlush.Nearest(context.Background(), novel, simfun.Jaccard{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if val != 1 {
+			t.Fatalf("pre-flush snapshot lost the inserts: value %v", val)
+		}
 
-			// The flushed table finds every copy: a range query at
-			// threshold 1 for the exact transaction returns all 40.
-			res, err := cur.RangeQuery(context.Background(), novel,
-				[]RangeConstraint{{F: simfun.Jaccard{}, Threshold: 1}}, RangeOptions{Parallelism: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(res.TIDs) != 40 {
-				t.Fatalf("flushed table returns %d exact matches, want 40", len(res.TIDs))
-			}
-			if err := cur.Validate(); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
+		// The flushed table finds every copy: a range query at
+		// threshold 1 for the exact transaction returns all 40.
+		res, err := cur.RangeQuery(context.Background(), novel,
+			[]RangeConstraint{{F: simfun.Jaccard{}, Threshold: 1}}, RangeOptions{Parallelism: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.TIDs) != 40 {
+			t.Fatalf("flushed table returns %d exact matches, want 40", len(res.TIDs))
+		}
+		if err := cur.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestSnapshotListInvalidation: snapshot mutations evict only the

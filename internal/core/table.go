@@ -62,12 +62,9 @@ type BuildOptions struct {
 	// during queries. Zero keeps transaction lists in memory (the
 	// dataset itself is the backing store).
 	PageSize int
-	// PageFormat selects the on-page encoding when PageSize > 0:
-	// pager.FormatV2 (block-compressed frames on shared pages, the
-	// default when zero) or pager.FormatV1 (the original uvarint
-	// records on dedicated pages). Queries return identical results
-	// under either format; v2 writes far fewer pages and scans through
-	// the fused decode-and-score kernel.
+	// PageFormat is deprecated: pages are always written in
+	// pager.FormatV2, block-compressed frames on shared pages. Zero and
+	// pager.FormatV2 are accepted; any other value fails the build.
 	PageFormat pager.Format
 	// PageFile, when non-empty with PageSize, backs the page store with
 	// the operating-system file at that path (truncated if it exists)
@@ -204,6 +201,12 @@ func Build(data *txn.Dataset, part *signature.Partition, opt BuildOptions) (*Tab
 	if r < 1 {
 		return nil, fmt.Errorf("core: activation threshold %d must be >= 1", r)
 	}
+	if opt.PageSize > 0 && opt.PageSize < pager.MinPageSize {
+		return nil, fmt.Errorf("core: page size %d too small (minimum %d)", opt.PageSize, pager.MinPageSize)
+	}
+	if opt.PageFormat != 0 && opt.PageFormat != pager.FormatV2 {
+		return nil, fmt.Errorf("core: unknown page format %d (only v2 is written)", int(opt.PageFormat))
+	}
 
 	t := &Table{
 		part:           part,
@@ -243,22 +246,15 @@ func Build(data *txn.Dataset, part *signature.Partition, opt BuildOptions) (*Tab
 
 	if opt.PageSize > 0 {
 		start = time.Now()
-		format := opt.PageFormat
-		if format == 0 {
-			format = pager.FormatV2
-		}
-		if format != pager.FormatV1 && format != pager.FormatV2 {
-			return nil, fmt.Errorf("core: unknown page format %d", int(format))
-		}
 		if opt.PageFile != "" {
-			store, err := pager.NewFileStoreFormat(opt.PageFile, opt.PageSize, format)
+			store, err := pager.NewFileStore(opt.PageFile, opt.PageSize)
 			if err != nil {
 				return nil, err
 			}
 			t.store = store
 			t.pageFile = opt.PageFile
 		} else {
-			t.store = pager.NewStoreFormat(opt.PageSize, format)
+			t.store = pager.NewStore(opt.PageSize)
 		}
 		if opt.BufferPoolPages > 0 {
 			t.store.AttachPool(opt.BufferPoolPages)
@@ -372,8 +368,8 @@ func (t *Table) scanPages(e *Entry, reads *atomic.Int64, fn func(id txn.TID, tr 
 // record; otherwise (memory mode, or a universe too large for pooled
 // bitmaps) transactions are materialized and scored with matchHamming.
 // Every engine scores candidates through this one hook, which is what
-// keeps v1 and v2 results byte-identical: both paths feed the same
-// integer statistics to the same similarity function.
+// keeps memory and disk results byte-identical: both paths feed the
+// same integer statistics to the same similarity function.
 func (t *Table) scanEntryStats(e *Entry, m *matcher, reads *atomic.Int64, fn func(id txn.TID, match, hamming int) bool) {
 	if t.store != nil && !t.scanPageStats(e, m, reads, fn) {
 		return

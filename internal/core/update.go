@@ -47,7 +47,6 @@ func (t *Table) RebuildParallel(parallelism int) (*Table, error) {
 	gen := 0
 	if t.store != nil {
 		opt.PageSize = t.store.PageSize()
-		opt.PageFormat = t.store.Format()
 		if pool := t.store.Pool(); pool != nil {
 			opt.BufferPoolPages = pool.Capacity()
 		}

@@ -15,65 +15,63 @@ import (
 // well under Misses (the per-page consumption counter) while every
 // consumption-side counter is unchanged by coalescing.
 func TestCoalescedColdScan(t *testing.T) {
-	for _, format := range []Format{FormatV1, FormatV2} {
-		t.Run(format.String(), func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "pages.dat")
-			s, err := NewFileStoreFormat(path, 128, format)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
-			rng := rand.New(rand.NewSource(11))
-			tids, txns := randomTxns(rng, 400)
-			list, err := s.WriteList(tids, txns)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s.Seal()
-			if len(list.Pages) < 4 {
-				t.Fatalf("fixture too small: %d pages", len(list.Pages))
-			}
-			s.AttachPool(len(list.Pages) + 2)
-			s.ResetStats()
+	t.Run(FormatV2.String(), func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "pages.dat")
+		s, err := NewFileStore(path, 128)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		rng := rand.New(rand.NewSource(11))
+		tids, txns := randomTxns(rng, 400)
+		list, err := s.WriteList(tids, txns)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Seal()
+		if len(list.Pages) < 4 {
+			t.Fatalf("fixture too small: %d pages", len(list.Pages))
+		}
+		s.AttachPool(len(list.Pages) + 2)
+		s.ResetStats()
 
-			n := 0
-			if err := s.ScanList(list, nil, func(txn.TID, txn.Transaction) bool { n++; return true }); err != nil {
-				t.Fatal(err)
-			}
-			if n != 400 {
-				t.Fatalf("scanned %d records, want 400", n)
-			}
-			st := s.Stats()
-			if st.Misses != int64(len(list.Pages)) {
-				t.Fatalf("Misses = %d, want %d (coalescing must not change consumption counters)", st.Misses, len(list.Pages))
-			}
-			if st.BackendReads >= st.Misses {
-				t.Fatalf("BackendReads = %d not below Misses = %d: no coalescing happened", st.BackendReads, st.Misses)
-			}
-			// The acceptance bar: ≥25%% fewer backend reads than pages
-			// missed. A fully consecutive list coalesces into runs of
-			// maxReadRun, far past the bar.
-			if 4*st.BackendReads > 3*st.Misses {
-				t.Fatalf("BackendReads = %d > 0.75 × Misses = %d", st.BackendReads, st.Misses)
-			}
-			if st.CoalescedReads == 0 {
-				t.Fatal("no multi-page runs counted")
-			}
-			if st.ReadRunPages < 2*st.CoalescedReads {
-				t.Fatalf("ReadRunPages = %d inconsistent with CoalescedReads = %d", st.ReadRunPages, st.CoalescedReads)
-			}
+		n := 0
+		if err := s.ScanList(list, nil, func(txn.TID, txn.Transaction) bool { n++; return true }); err != nil {
+			t.Fatal(err)
+		}
+		if n != 400 {
+			t.Fatalf("scanned %d records, want 400", n)
+		}
+		st := s.Stats()
+		if st.Misses != int64(len(list.Pages)) {
+			t.Fatalf("Misses = %d, want %d (coalescing must not change consumption counters)", st.Misses, len(list.Pages))
+		}
+		if st.BackendReads >= st.Misses {
+			t.Fatalf("BackendReads = %d not below Misses = %d: no coalescing happened", st.BackendReads, st.Misses)
+		}
+		// The acceptance bar: ≥25%% fewer backend reads than pages
+		// missed. A fully consecutive list coalesces into runs of
+		// maxReadRun, far past the bar.
+		if 4*st.BackendReads > 3*st.Misses {
+			t.Fatalf("BackendReads = %d > 0.75 × Misses = %d", st.BackendReads, st.Misses)
+		}
+		if st.CoalescedReads == 0 {
+			t.Fatal("no multi-page runs counted")
+		}
+		if st.ReadRunPages < 2*st.CoalescedReads {
+			t.Fatalf("ReadRunPages = %d inconsistent with CoalescedReads = %d", st.ReadRunPages, st.CoalescedReads)
+		}
 
-			// Pool-warm second scan: no backend traffic at all.
-			before := st
-			if err := s.ScanList(list, nil, func(txn.TID, txn.Transaction) bool { return true }); err != nil {
-				t.Fatal(err)
-			}
-			st = s.Stats()
-			if st.BackendReads != before.BackendReads || st.Misses != before.Misses {
-				t.Fatalf("warm scan touched the backend: %+v -> %+v", before, st)
-			}
-		})
-	}
+		// Pool-warm second scan: no backend traffic at all.
+		before := st
+		if err := s.ScanList(list, nil, func(txn.TID, txn.Transaction) bool { return true }); err != nil {
+			t.Fatal(err)
+		}
+		st = s.Stats()
+		if st.BackendReads != before.BackendReads || st.Misses != before.Misses {
+			t.Fatalf("warm scan touched the backend: %+v -> %+v", before, st)
+		}
+	})
 }
 
 // TestCoalescedScanMatchesPerPage: the coalesced reader returns the
@@ -81,12 +79,12 @@ func TestCoalescedColdScan(t *testing.T) {
 // still coalesces; the bytes must be identical either way).
 func TestCoalescedScanMatchesPerPage(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "pages.dat")
-	fs, err := NewFileStoreFormat(path, 128, FormatV2)
+	fs, err := NewFileStore(path, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fs.Close()
-	ms := NewStoreFormat(128, FormatV2)
+	ms := NewStore(128)
 	rng := rand.New(rand.NewSource(12))
 	tids, txns := randomTxns(rng, 250)
 	fl, err := fs.WriteList(tids, txns)
@@ -145,6 +143,8 @@ func TestReadPagesBackends(t *testing.T) {
 	if _, err := ms.WriteList(tids, txns); err != nil {
 		t.Fatal(err)
 	}
+	fs.Seal()
+	ms.Seal()
 	for _, s := range []*Store{fs, ms} {
 		np := s.NumPages()
 		for base := 0; base < np; base += 3 {
@@ -165,7 +165,7 @@ func TestReadPagesBackends(t *testing.T) {
 					t.Fatal(err)
 				}
 				if string(run[j]) != string(single) {
-					t.Fatalf("page %d differs between readPages and readPage", base+j)
+					t.Fatalf("page %d differs between readPages and read", base+j)
 				}
 			}
 		}

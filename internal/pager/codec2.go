@@ -10,11 +10,10 @@ import (
 	"sigtable/internal/txn"
 )
 
-// Format v2: block-compressed pages. Where v1 spends one uvarint record
-// per transaction and dedicates whole pages to a single entry list, v2
-// groups records into fixed-size frames and packs the frames of many
-// lists into shared pages — a List carries a byte offset (List.Start)
-// into its first page. The frame is the unit of compression and of
+// Page format (v2): block-compressed pages. Records are grouped into
+// fixed-size frames, and the frames of many lists are packed into
+// shared pages — a List carries a byte offset (List.Start) into its
+// first page. The frame is the unit of compression and of
 // skipping:
 //
 //	frame  := header body
@@ -35,9 +34,9 @@ import (
 // varints (tiny frames, wild deltas) the flags bit selects a varint
 // body with the same field order per record. Frames never span pages.
 //
-// minTID and span bound every TID in the frame, so a scan looking for
-// TIDs >= from skips a frame entirely — header parse, no body decode —
-// whenever minTID+span < from.
+// minTID and span bound every TID in the frame, and bodyLen gives the
+// distance to the next header, so a reader can rule a frame out of a
+// TID range from its header alone, without decoding the body.
 
 // frameRecords is the maximum records per frame. 64 keeps the widths
 // responsive to local skew while amortizing the header to a fraction
@@ -228,8 +227,7 @@ func encodeFrame(tids []txn.TID, txns []txn.Transaction) []byte {
 // encodeFrames splits a list into frames, each at most pageSize bytes
 // so it can be placed whole on some page. A frame whose encoding
 // overflows the page is re-cut with fewer records; a single record too
-// large for any page is rejected, mirroring v1's oversized-record
-// error. Returns the frames and the list's logical (uncompressed)
+// large for any page is rejected. Returns the frames and the list's logical (uncompressed)
 // byte size.
 func encodeFrames(pageSize int, tids []txn.TID, txns []txn.Transaction) ([][]byte, int64, error) {
 	if len(tids) != len(txns) {
@@ -521,34 +519,4 @@ func (c *v2Cursor) next() (v2Frame, bool, error) {
 	c.off += n
 	c.remaining -= f.count
 	return f, false, nil
-}
-
-// scanPagesV2 is scanPages for the v2 format: same contract, frame
-// decoding instead of per-record varints.
-func (s *Store) scanPagesV2(l List, reads *atomic.Int64, fn func(id txn.TID, t txn.Transaction) bool) (bool, error) {
-	c := v2Cursor{s: s, l: l, reads: reads}
-	if err := c.init(); err != nil {
-		return false, err
-	}
-	for {
-		f, done, err := c.next()
-		if err != nil {
-			return false, err
-		}
-		if done {
-			return true, nil
-		}
-		seen := 0
-		stopped, err := f.decode(func(id txn.TID, t txn.Transaction) bool {
-			seen++
-			return fn(id, t)
-		})
-		if err != nil {
-			return false, err
-		}
-		if stopped {
-			// Complete only if this was the final record of the list.
-			return c.remaining == 0 && seen == f.count, nil
-		}
-	}
 }

@@ -11,7 +11,7 @@ import (
 	"sigtable/internal/txn"
 )
 
-// scanAllV2 collects every record of a list after sealing the store.
+// collectList collects every record of a sealed store's list.
 func collectList(t *testing.T, s *Store, l List) ([]txn.TID, []txn.Transaction) {
 	t.Helper()
 	var ids []txn.TID
@@ -46,13 +46,13 @@ func TestV2WriteScanRoundTrip(t *testing.T) {
 			var s *Store
 			if backend == "file" {
 				var err error
-				s, err = NewFileStoreFormat(filepath.Join(t.TempDir(), "pages"), 256, FormatV2)
+				s, err = NewFileStore(filepath.Join(t.TempDir(), "pages"), 256)
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer s.Close()
 			} else {
-				s = NewStoreFormat(256, FormatV2)
+				s = NewStore(256)
 			}
 			type written struct {
 				l    List
@@ -80,7 +80,7 @@ func TestV2WriteScanRoundTrip(t *testing.T) {
 // lists share pages instead of each claiming its own.
 func TestV2SharedPagesPackLists(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
-	s := NewStoreFormat(4096, FormatV2)
+	s := NewStore(4096)
 	const nLists = 500
 	for i := 0; i < nLists; i++ {
 		tids, txns := randomTxns(rng, 2) // tiny list: a few dozen bytes
@@ -90,7 +90,7 @@ func TestV2SharedPagesPackLists(t *testing.T) {
 	}
 	s.Seal()
 	if got := s.NumPages(); got > nLists/10 {
-		t.Fatalf("%d tiny lists occupy %d pages; want shared pages (v1 would use %d)", nLists, got, nLists)
+		t.Fatalf("%d tiny lists occupy %d pages; want shared pages, not one per list (%d)", nLists, got, nLists)
 	}
 	st := s.Stats()
 	if st.BytesWritten <= 0 || st.BytesLogical <= st.BytesWritten {
@@ -114,7 +114,7 @@ func TestV2StagedLayoutIdentity(t *testing.T) {
 		inputs[i] = input{tids, txns}
 	}
 
-	serial := NewStoreFormat(256, FormatV2)
+	serial := NewStore(256)
 	serialLists := make([]List, nLists)
 	for i, in := range inputs {
 		l, err := serial.WriteList(in.tids, in.txns)
@@ -125,7 +125,7 @@ func TestV2StagedLayoutIdentity(t *testing.T) {
 	}
 	serial.Seal()
 
-	staged := NewStoreFormat(256, FormatV2)
+	staged := NewStore(256)
 	st := make([]*StagedList, nLists)
 	done := make(chan error, nLists)
 	for i, in := range inputs {
@@ -164,40 +164,6 @@ func TestV2StagedLayoutIdentity(t *testing.T) {
 		tp, _ := tb.read(PageID(id))
 		if string(sp) != string(tp) {
 			t.Fatalf("page %d bytes differ between serial and staged builds", id)
-		}
-	}
-}
-
-func TestV2ScanListFrom(t *testing.T) {
-	rng := rand.New(rand.NewSource(24))
-	for _, format := range []Format{FormatV1, FormatV2} {
-		s := NewStoreFormat(256, format)
-		// Sorted TIDs: the realistic shape (entry lists are built in
-		// TID order) and the one where frame skipping pays.
-		tids, txns := randomTxns(rng, 300)
-		for i := range tids {
-			tids[i] = txn.TID(10 * i)
-		}
-		l, err := s.WriteList(tids, txns)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.Seal()
-		from := txn.TID(10 * 257)
-		var got []txn.TID
-		if err := s.ScanListFrom(l, nil, from, func(id txn.TID, tr txn.Transaction) bool {
-			got = append(got, id)
-			return true
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != 300-257 {
-			t.Fatalf("format %v: ScanListFrom returned %d records, want %d", format, len(got), 300-257)
-		}
-		for i, id := range got {
-			if id != txn.TID(10*(257+i)) {
-				t.Fatalf("format %v: record %d = %d, want %d", format, i, id, 10*(257+i))
-			}
 		}
 	}
 }
@@ -256,52 +222,50 @@ func TestScanListStatsMatchesMaterialized(t *testing.T) {
 	mask := bitset.New(universe)
 	target.SetBits(mask)
 
-	for _, format := range []Format{FormatV1, FormatV2} {
-		for _, cache := range []int64{0, 1 << 20} {
-			s := NewStoreFormat(128, format)
-			if cache > 0 {
-				s.AttachDecodeCache(cache)
-			}
-			tids, txns := randomTxns(rng, 250)
-			l, err := s.WriteList(tids, txns)
+	for _, cache := range []int64{0, 1 << 20} {
+		s := NewStore(128)
+		if cache > 0 {
+			s.AttachDecodeCache(cache)
+		}
+		tids, txns := randomTxns(rng, 250)
+		l, err := s.WriteList(tids, txns)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Seal()
+		for pass := 0; pass < 2; pass++ { // second pass exercises cache hits
+			i := 0
+			var reads atomic.Int64
+			err = s.ScanListStats(l, &reads, mask, len(target), func(id txn.TID, x, y int) bool {
+				wantX, wantY := txn.MatchHammingBits(mask, len(target), txns[i])
+				if id != tids[i] || x != wantX || y != wantY {
+					t.Fatalf("cache %d record %d: (%d, %d, %d), want (%d, %d, %d)",
+						cache, i, id, x, y, tids[i], wantX, wantY)
+				}
+				i++
+				return true
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			s.Seal()
-			for pass := 0; pass < 2; pass++ { // second pass exercises cache hits
-				i := 0
-				var reads atomic.Int64
-				err = s.ScanListStats(l, &reads, mask, len(target), func(id txn.TID, x, y int) bool {
-					wantX, wantY := txn.MatchHammingBits(mask, len(target), txns[i])
-					if id != tids[i] || x != wantX || y != wantY {
-						t.Fatalf("format %v cache %d record %d: (%d, %d, %d), want (%d, %d, %d)",
-							format, cache, i, id, x, y, tids[i], wantX, wantY)
-					}
-					i++
-					return true
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if i != len(tids) {
-					t.Fatalf("scanned %d records, want %d", i, len(tids))
-				}
+			if i != len(tids) {
+				t.Fatalf("scanned %d records, want %d", i, len(tids))
 			}
-			// Early stop must not error and must stop.
-			n := 0
-			err = s.ScanListStats(l, nil, mask, len(target), func(txn.TID, int, int) bool {
-				n++
-				return n < 5
-			})
-			if err != nil || n != 5 {
-				t.Fatalf("early stop: n=%d err=%v", n, err)
-			}
+		}
+		// Early stop must not error and must stop.
+		n := 0
+		err = s.ScanListStats(l, nil, mask, len(target), func(txn.TID, int, int) bool {
+			n++
+			return n < 5
+		})
+		if err != nil || n != 5 {
+			t.Fatalf("early stop: n=%d err=%v", n, err)
 		}
 	}
 }
 
 func TestV2EmptyAndOversized(t *testing.T) {
-	s := NewStoreFormat(64, FormatV2)
+	s := NewStore(64)
 	l, err := s.WriteList(nil, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -329,10 +293,10 @@ func TestV2EmptyAndOversized(t *testing.T) {
 	}
 }
 
-// TestV2SealRequiredBeforeScan pins the write-once discipline: the
+// TestV2SealGatesTail pins the write-once discipline: the
 // tail page is only readable after Seal.
 func TestV2SealGatesTail(t *testing.T) {
-	s := NewStoreFormat(4096, FormatV2)
+	s := NewStore(4096)
 	tids, txns := randomTxns(rand.New(rand.NewSource(27)), 10)
 	l, err := s.WriteList(tids, txns)
 	if err != nil {
@@ -347,14 +311,4 @@ func TestV2SealGatesTail(t *testing.T) {
 	if got := s.Stats().Writes; got != 1 {
 		t.Fatalf("second Seal wrote: Writes = %d", got)
 	}
-}
-
-func TestAppendStagedOnV1Panics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("AppendStaged on a v1 store did not panic")
-		}
-	}()
-	s := NewStore(0)
-	s.AppendStaged(&StagedList{})
 }

@@ -9,10 +9,10 @@ import (
 )
 
 // TestConcurrentStagedWriters hammers the staged write path under
-// -race: many goroutines stage lists concurrently, a single allocator
-// hands out contiguous ranges in list order, and installs run
-// concurrently — the write discipline the parallel index build uses.
-// Readers then verify every list decodes intact.
+// -race: many goroutines stage lists concurrently, then a single
+// goroutine appends them in list order — the write discipline the
+// parallel index build uses. Concurrent readers then verify every list
+// decodes intact.
 func TestConcurrentStagedWriters(t *testing.T) {
 	for _, backend := range []string{"mem", "file"} {
 		t.Run(backend, func(t *testing.T) {
@@ -57,21 +57,12 @@ func TestConcurrentStagedWriters(t *testing.T) {
 			}
 			wg.Wait()
 
-			// Reserve sequentially (deterministic layout), install
-			// concurrently.
-			bases := make([]PageID, numLists)
-			for i, st := range staged {
-				bases[i] = s.ReservePages(st.NumPages())
-			}
+			// Place sequentially (deterministic layout).
 			lists := make([]List, numLists)
-			for i := range staged {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					lists[i] = s.InstallList(bases[i], staged[i])
-				}(i)
+			for i, st := range staged {
+				lists[i] = s.AppendStaged(st)
 			}
-			wg.Wait()
+			s.Seal()
 
 			// Concurrent readers over all lists.
 			for i := range lists {

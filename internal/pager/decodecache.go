@@ -17,9 +17,8 @@ import (
 // simulated I/O but still re-decodes every record on every scan.
 //
 // Keys are (list key, generation). The list key packs the list's
-// first PageID with its start offset (listKey in pager.go): v1 lists
-// never share pages, so the PageID half alone is distinct, while v2
-// lists opening on a shared page are told apart by the offset. The
+// first PageID with its start offset (listKey in pager.go): lists
+// opening on a shared page are told apart by the offset. The
 // generation is a cache-wide counter bumped by Invalidate: mutations
 // above the pager (Insert, Delete, Compact, Rebuild) bump it, making
 // every cached decode unreachable at once in O(1). Page payloads are

@@ -33,6 +33,7 @@ func TestDecodeCacheHitSkipsReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.Seal()
 	s.ResetStats()
 
 	wantIDs, wantTxns := scanAll(t, s, list)
@@ -71,6 +72,7 @@ func TestDecodeCacheInvalidateForcesRedecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.Seal()
 	scanAll(t, s, list) // populate
 	s.ResetStats()
 	s.DecodeCache().Invalidate()
@@ -95,6 +97,7 @@ func TestDecodeCacheEarlyStopNotCached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.Seal()
 	n := 0
 	if err := s.ScanList(list, nil, func(txn.TID, txn.Transaction) bool {
 		n++
@@ -180,6 +183,7 @@ func TestDecodeCacheOversizedListSkipped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.Seal()
 	scanAll(t, s, list)
 	if s.DecodeCache().Len() != 0 {
 		t.Fatal("oversized list cached")
@@ -230,6 +234,7 @@ func TestDecodeCacheConcurrentScans(t *testing.T) {
 		lists[i] = l
 		first[i] = tids[0]
 	}
+	s.Seal()
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for w := 0; w < 8; w++ {

@@ -29,24 +29,14 @@ func (b *fileBackend) pageCount() int {
 }
 
 // NewFileStore creates a store whose pages live in the file at path
-// (truncated if it exists), using the v1 page format. Close releases
-// the file handle.
+// (truncated if it exists). Close releases the file handle.
 func NewFileStore(path string, pageSize int) (*Store, error) {
-	return NewFileStoreFormat(path, pageSize, FormatV1)
-}
-
-// NewFileStoreFormat is NewFileStore with an explicit page format.
-func NewFileStoreFormat(path string, pageSize int, format Format) (*Store, error) {
 	pageSize = checkPageSize(pageSize)
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("pager: opening %s: %w", path, err)
 	}
-	return &Store{
-		pageSize: pageSize,
-		format:   checkFormat(format),
-		back:     &fileBackend{f: f, pageSize: pageSize},
-	}, nil
+	return &Store{pageSize: pageSize, back: &fileBackend{f: f, pageSize: pageSize}}, nil
 }
 
 // Close releases the backing file, if any.
@@ -59,25 +49,16 @@ func (s *Store) Close() error {
 
 func (b *fileBackend) slotSize() int64 { return int64(b.pageSize) + 4 }
 
-func (b *fileBackend) append(data []byte) (PageID, error) {
-	id, err := b.reserve(1)
-	if err != nil {
-		return 0, err
-	}
-	return id, b.writeAt(id, data)
-}
-
-func (b *fileBackend) reserve(n int) (PageID, error) {
+func (b *fileBackend) reserve() PageID {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	base := b.count
-	b.count += n
-	return PageID(base), nil
+	b.count++
+	return PageID(b.count - 1)
 }
 
 // writeAt fills a reserved slot. os.File.WriteAt is positional and
 // safe for concurrent use, so the mutex is only held for the bounds
-// check, letting installers on disjoint slots overlap their I/O.
+// check.
 func (b *fileBackend) writeAt(id PageID, data []byte) error {
 	if int(id) >= b.pageCount() {
 		return fmt.Errorf("pager: write to unreserved page %d", id)
@@ -91,9 +72,9 @@ func (b *fileBackend) writeAt(id PageID, data []byte) error {
 	return nil
 }
 
-// read fetches a slot with a positional ReadAt, holding no lock across
-// the I/O: concurrent readers — the parallel search and build workers —
-// issue overlapping preads instead of queueing on one mutex.
+// read fetches one slot with a positional ReadAt, holding no lock
+// across the I/O. Scans fetch through readPages; read is the
+// single-page reference the coalesced path is tested against.
 func (b *fileBackend) read(id PageID) ([]byte, error) {
 	if int(id) >= b.pageCount() {
 		return nil, fmt.Errorf("pager: read of unallocated page %d", id)

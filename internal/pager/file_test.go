@@ -24,6 +24,7 @@ func TestFileStoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.Seal()
 	i := 0
 	err = s.ScanList(list, nil, func(id txn.TID, tr txn.Transaction) bool {
 		if id != tids[i] || !tr.Equal(txns[i]) {
@@ -58,10 +59,12 @@ func TestFileStoreMatchesMemoryStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	fs.Seal()
 	ml, err := ms.WriteList(tids, txns)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ms.Seal()
 	if len(fl.Pages) != len(ml.Pages) {
 		t.Fatalf("page counts differ: file %d vs mem %d", len(fl.Pages), len(ml.Pages))
 	}
@@ -99,6 +102,7 @@ func TestFileStoreWithPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.Seal()
 	s.AttachPool(len(list.Pages) + 2)
 	s.ResetStats()
 	for pass := 0; pass < 2; pass++ {
@@ -125,10 +129,10 @@ func TestFileStoreBadPath(t *testing.T) {
 }
 
 // TestFileStoreParallelReaders hammers one file-backed store with
-// concurrent scans and interleaved reserve/install writes to fresh
-// slots. With the positional pread/pwrite path there is no shared file
-// offset; under -race this pins down that only the count counter is
-// shared state. The second pass attaches a buffer pool smaller than
+// concurrent scans while a writer appends and seals fresh lists — the
+// snapshot overflow flush's pattern. With the positional pread/pwrite
+// path there is no shared file offset; under -race this pins down that
+// only the count counter is shared state. The second pass attaches a buffer pool smaller than
 // the lists, so concurrent coalesced runs race pool admission and
 // eviction as well.
 func TestFileStoreParallelReaders(t *testing.T) {
@@ -160,11 +164,7 @@ func parallelReaders(t *testing.T, poolPages int) {
 		}
 		lists[i], want[i] = l, tids
 	}
-
-	staged, err := s.StageList([]txn.TID{7}, []txn.Transaction{txn.New(1, 2, 3)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s.Seal()
 
 	var wg sync.WaitGroup
 	errs := make(chan error, 16)
@@ -191,21 +191,24 @@ func parallelReaders(t *testing.T, poolPages int) {
 			}
 		}(int64(40 + w))
 	}
-	// Two writers appending to fresh slots while the readers run.
-	for w := 0; w < 2; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 30; i++ {
-				base := s.ReservePages(staged.NumPages())
-				l := s.InstallList(base, staged)
-				if err := s.ScanList(l, nil, func(id txn.TID, _ txn.Transaction) bool { return id == 7 }); err != nil {
-					errs <- err
-					return
-				}
+	// One writer (writes are serial) appending fresh pages while the
+	// readers run.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 30; i++ {
+			l, err := s.WriteList([]txn.TID{7}, []txn.Transaction{txn.New(1, 2, 3)})
+			if err != nil {
+				errs <- err
+				return
 			}
-		}()
-	}
+			s.Seal()
+			if err := s.ScanList(l, nil, func(id txn.TID, _ txn.Transaction) bool { return id == 7 }); err != nil {
+				errs <- err
+				return
+			}
+		}
+	}()
 	wg.Wait()
 	close(errs)
 	for err := range errs {

@@ -30,6 +30,7 @@ func TestWriteScanRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.Seal()
 	if list.Count != 200 {
 		t.Fatalf("Count = %d", list.Count)
 	}
@@ -64,6 +65,7 @@ func TestScanEarlyStopSavesIO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.Seal()
 	s.ResetStats()
 	n := 0
 	err = s.ScanList(list, nil, func(txn.TID, txn.Transaction) bool {
@@ -102,6 +104,7 @@ func TestEmptyList(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.Seal()
 	if list.Count != 0 || len(list.Pages) != 0 {
 		t.Fatalf("list = %+v", list)
 	}
@@ -116,6 +119,7 @@ func TestEmptyTransactionsSurvive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.Seal()
 	var got []txn.Transaction
 	if err := s.ScanList(list, nil, func(_ txn.TID, tr txn.Transaction) bool {
 		got = append(got, tr)
@@ -151,7 +155,8 @@ func TestReadUnallocatedPagePanics(t *testing.T) {
 			t.Fatalf("recover = %v", r)
 		}
 	}()
-	s.readPage(7, nil)
+	rr := newRunReader(s, []PageID{7}, nil)
+	rr.next()
 }
 
 func TestPoolAbsorbsRepeatedReads(t *testing.T) {
@@ -162,6 +167,7 @@ func TestPoolAbsorbsRepeatedReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.Seal()
 	s.AttachPool(len(list.Pages) + 4)
 	s.ResetStats()
 	for pass := 0; pass < 3; pass++ {

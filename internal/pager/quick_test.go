@@ -24,6 +24,7 @@ func TestQuickListRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
+		s.Seal()
 		if list.Count != n {
 			return false
 		}

@@ -10,10 +10,10 @@ import (
 )
 
 // TestQuickStagedLayoutIdentity is the staged API's core property: for
-// arbitrary batches of lists and page sizes, staging every list and
-// installing each at a range reserved in list order produces a store
-// whose page count, per-list page IDs and raw page bytes are identical
-// to writing the same lists serially with WriteList.
+// arbitrary batches of lists and page sizes, staging every list first
+// and then appending them in list order produces a store whose page
+// count, per-list handles and raw page bytes are identical to writing
+// the same lists serially with WriteList.
 func TestQuickStagedLayoutIdentity(t *testing.T) {
 	prop := func(seed int64, sizeRaw, listsRaw uint8) bool {
 		pageSize := 64 + int(sizeRaw)*8
@@ -39,6 +39,7 @@ func TestQuickStagedLayoutIdentity(t *testing.T) {
 			}
 			serialLists[i] = l
 		}
+		serial.Seal()
 
 		staged := NewStore(pageSize)
 		stagedParts := make([]*StagedList, numLists)
@@ -51,9 +52,9 @@ func TestQuickStagedLayoutIdentity(t *testing.T) {
 		}
 		stagedLists := make([]List, numLists)
 		for i, st := range stagedParts {
-			base := staged.ReservePages(st.NumPages())
-			stagedLists[i] = staged.InstallList(base, st)
+			stagedLists[i] = staged.AppendStaged(st)
 		}
+		staged.Seal()
 
 		if serial.NumPages() != staged.NumPages() {
 			t.Logf("page counts differ: serial %d, staged %d", serial.NumPages(), staged.NumPages())
@@ -65,7 +66,7 @@ func TestQuickStagedLayoutIdentity(t *testing.T) {
 		}
 		for i := range serialLists {
 			sl, pl := serialLists[i], stagedLists[i]
-			if sl.Count != pl.Count || len(sl.Pages) != len(pl.Pages) {
+			if sl.Count != pl.Count || sl.Start != pl.Start || len(sl.Pages) != len(pl.Pages) {
 				t.Logf("list %d handles differ: %+v vs %+v", i, sl, pl)
 				return false
 			}
@@ -91,7 +92,7 @@ func TestQuickStagedLayoutIdentity(t *testing.T) {
 	}
 }
 
-// TestStagedListRoundTrip: a staged-and-installed list decodes back to
+// TestStagedListRoundTrip: a staged-and-appended list decodes back to
 // the exact transactions, including through the file backend.
 func TestStagedListRoundTrip(t *testing.T) {
 	for _, backend := range []string{"mem", "file"} {
@@ -113,7 +114,8 @@ func TestStagedListRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			list := s.InstallList(s.ReservePages(st.NumPages()), st)
+			list := s.AppendStaged(st)
+			s.Seal()
 			i := 0
 			err = s.ScanList(list, nil, func(id txn.TID, tr txn.Transaction) bool {
 				if id != tids[i] || !tr.Equal(txns[i]) {

@@ -59,6 +59,7 @@ import (
 
 	"sigtable"
 	"sigtable/internal/metrics"
+	"sigtable/internal/pager"
 )
 
 // Error codes used in the error envelope.
@@ -433,8 +434,7 @@ type DecodeCacheInfo struct {
 // StorageInfo is the /v1/stats storage section (absent in memory
 // mode): the page store's geometry, cumulative I/O counters and the
 // write-side compression ratio (logical record bytes over page bytes
-// written; 1.0 under the uncompressed v1 layout, higher under the
-// block-compressed v2 layout).
+// written). PageFormat is always "v2", the block-compressed layout.
 type StorageInfo struct {
 	PageSize   int    `json:"pageSize"`
 	PageFormat string `json:"pageFormat"`
@@ -675,7 +675,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Storage = &StorageInfo{
 			PageSize:         store.PageSize(),
-			PageFormat:       store.Format().String(),
+			PageFormat:       pager.FormatV2.String(),
 			Pages:            store.NumPages(),
 			Reads:            st.Reads,
 			Misses:           st.Misses,

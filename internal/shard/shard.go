@@ -38,7 +38,6 @@ import (
 	"time"
 
 	"sigtable/internal/core"
-	"sigtable/internal/pager"
 	"sigtable/internal/signature"
 	"sigtable/internal/txn"
 )
@@ -61,9 +60,6 @@ type Options struct {
 	PageFile         string
 	BufferPoolPages  int
 	DecodeCacheBytes int64
-	// PageFormat selects the on-page encoding for every shard store
-	// (zero = the core default, the block-compressed v2 layout).
-	PageFormat pager.Format
 	// BuildParallelism bounds each shard build's workers (shards
 	// themselves build sequentially).
 	BuildParallelism int
@@ -220,7 +216,6 @@ func (x *Index) buildOptions(i, gen int) core.BuildOptions {
 	o := core.BuildOptions{
 		ActivationThreshold: x.r,
 		PageSize:            x.opt.PageSize,
-		PageFormat:          x.opt.PageFormat,
 		BufferPoolPages:     x.poolPages,
 		DecodeCacheBytes:    x.decodeBytes,
 		Parallelism:         x.opt.BuildParallelism,

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"testing"
 )
 
@@ -13,8 +14,8 @@ import (
 // identity cannot catch a bound that breaks Lemma 2.1. A random
 // insert/delete script runs on a single Index and a 2-shard
 // ShardedIndex; then the serial Query, the shared-scan BatchQuery and
-// the sharded Query answer random targets in memory, v1 and v2 page
-// formats and both visiting orders. Exact answers must equal ScanKNearest
+// the sharded Query answer random targets in memory and on pages, in
+// both visiting orders. Exact answers must equal ScanKNearest
 // over the live transactions rank by rank, certified. Budgeted answers
 // may never beat the oracle at any rank, and one marked Certified must
 // equal it.
@@ -25,8 +26,7 @@ func TestEnginesMatchOracle(t *testing.T) {
 		opt  IndexOptions
 	}{
 		{"memory", IndexOptions{}},
-		{"v1", IndexOptions{PageSize: 256, PageFormat: PageFormatV1, FlushThreshold: 8}},
-		{"v2", IndexOptions{PageSize: 256, PageFormat: PageFormatV2, FlushThreshold: 8}},
+		{"v2", IndexOptions{PageSize: 256, FlushThreshold: 8}},
 	}
 	for fi, format := range formats {
 		for seed := int64(0); seed < 3; seed++ {
@@ -153,6 +153,12 @@ var raceEnabled bool
 // entries, but its scan callback is built once per search, so the
 // whole query allocates a small constant — the result, the top-k heap,
 // the search's closures — and nothing per entry.
+//
+// The file-backed case, with no buffer pool, allocates once more per
+// backend read: the file backend's coalesced read returns a fresh
+// buffer and a slice of per-page views into it. Its ceiling is stated
+// in those reads, so a per-entry or per-page allocation on the disk
+// path fails it.
 func TestQueryAllocsPinned(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector randomly drops sync.Pool items, so pooled scratch reallocates")
@@ -172,6 +178,38 @@ func TestQueryAllocsPinned(t *testing.T) {
 	t.Logf("%v allocations per query", allocs)
 	if allocs > 10 {
 		t.Fatalf("k=1 in-memory Query allocates %v times per query, want <= 10", allocs)
+	}
+
+	// The BenchmarkQueryDisk fixture without its buffer pool.
+	disk, err := BuildIndex(m.data, IndexOptions{
+		SignatureCardinality: 8,
+		PageSize:             512,
+		PageFile:             filepath.Join(t.TempDir(), "pages.dat"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer disk.Close()
+	store := disk.Table().Store()
+	const runs = 50
+	calls := 0
+	allocs = testing.AllocsPerRun(runs, func() {
+		if calls == 1 { // AllocsPerRun's warm-up call is not measured
+			store.ResetStats()
+		}
+		if _, err := disk.Query(ctx, m.queries[calls%len(m.queries)], Cosine{}, QueryOptions{K: 1}); err != nil {
+			t.Fatal(err)
+		}
+		calls++
+	})
+	reads := float64(store.Stats().BackendReads) / runs
+	limit := 2*reads + 10
+	t.Logf("file-backed: %v allocations, %v backend reads per query", allocs, reads)
+	if reads == 0 {
+		t.Fatal("file-backed fixture issued no backend reads")
+	}
+	if allocs > limit {
+		t.Fatalf("k=1 file-backed Query allocates %v times per query, want <= 2·%v backend reads + 10 = %v", allocs, reads, limit)
 	}
 }
 

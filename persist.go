@@ -24,10 +24,10 @@ import (
 //
 // followed by the engine's own image (the core table format, or the
 // sharded manifest wrapping one core table per shard). Envelope
-// version 2 marks the era whose core images record a page format
-// (disk-mode tables may be block-compressed v2); version-1 files are
-// still read — their core images predate the field and rebuild under
-// the original v1 page layout. Seed-era files written before the
+// version 2 marks the era whose core images record a page format;
+// version-1 files are still read — their core images predate the field
+// and, like every image, rebuild their pages in the current
+// block-compressed layout. Seed-era files written before the
 // envelope existed begin directly with the core table's own header;
 // the readers sniff the first four bytes and keep accepting that
 // headerless layout.

@@ -12,16 +12,18 @@ import (
 )
 
 // Page-codec micro-benchmarks: the raw decode and fused decode-and-
-// score throughput of the two on-page layouts, over the standard micro
-// dataset. BenchmarkScanList is the materializing path (every record
-// rebuilt as a []txn.Item); BenchmarkFusedScore is the v2 tentpole —
-// match/hamming computed against a target bitmap while unpacking, no
+// score throughput of the block-compressed (v2) page layout, over the
+// standard micro dataset. BenchmarkScanList is the materializing path
+// (every record rebuilt as a []txn.Item); BenchmarkFusedScore computes
+// match/hamming against a target bitmap while unpacking, with no
 // per-record slice. The -disk variants run against a real page file so
-// every page fetch is a positional pread.
+// every page fetch is a positional pread. The sub-benchmark names keep
+// their "v2" prefix so the archived BENCH_PR*.json series stays
+// comparable.
 
 const scanBenchListLen = 512
 
-// scanFixture is one store per (format, backing) with the micro
+// scanFixture is one store per backing (memory, file) with the micro
 // dataset's 50k transactions written as lists of scanBenchListLen
 // records.
 type scanFixture struct {
@@ -41,23 +43,20 @@ func scanBenchSetup(b *testing.B) map[string]*scanFixture {
 		}
 		scanBench = make(map[string]*scanFixture)
 		for _, cfg := range []struct {
-			name   string
-			format pager.Format
-			disk   bool
+			name string
+			disk bool
 		}{
-			{"v1", pager.FormatV1, false},
-			{"v2", pager.FormatV2, false},
-			{"v1-disk", pager.FormatV1, true},
-			{"v2-disk", pager.FormatV2, true},
+			{"v2", false},
+			{"v2-disk", true},
 		} {
 			var store *pager.Store
 			if cfg.disk {
-				store, err = pager.NewFileStoreFormat(filepath.Join(dir, cfg.name+".dat"), 4096, cfg.format)
+				store, err = pager.NewFileStore(filepath.Join(dir, cfg.name+".dat"), 4096)
 				if err != nil {
 					b.Fatal(err)
 				}
 			} else {
-				store = pager.NewStoreFormat(4096, cfg.format)
+				store = pager.NewStore(4096)
 			}
 			fix := &scanFixture{store: store}
 			n := m.data.Len()
@@ -90,7 +89,7 @@ func scanBenchSetup(b *testing.B) map[string]*scanFixture {
 // 50k-transaction dataset.
 func BenchmarkScanList(b *testing.B) {
 	fixtures := scanBenchSetup(b)
-	for _, name := range []string{"v1", "v2", "v1-disk", "v2-disk"} {
+	for _, name := range []string{"v2", "v2-disk"} {
 		fix := fixtures[name]
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -123,7 +122,7 @@ func BenchmarkFusedScore(b *testing.B) {
 	target := m.queries[0]
 	target.SetBits(mask)
 	defer target.ClearBits(mask)
-	for _, name := range []string{"v1", "v2", "v1-disk", "v2-disk"} {
+	for _, name := range []string{"v2", "v2-disk"} {
 		fix := fixtures[name]
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()

@@ -96,10 +96,6 @@ func NewSharded(d *Dataset, opt IndexOptions) (*ShardedIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	format, err := opt.PageFormat.pagerFormat()
-	if err != nil {
-		return nil, err
-	}
 	x, err := shard.New(d, part, shard.Options{
 		Shards:              shards,
 		ActivationThreshold: r,
@@ -107,7 +103,6 @@ func NewSharded(d *Dataset, opt IndexOptions) (*ShardedIndex, error) {
 		PageFile:            opt.PageFile,
 		BufferPoolPages:     opt.BufferPoolPages,
 		DecodeCacheBytes:    opt.DecodeCacheBytes,
-		PageFormat:          format,
 		BuildParallelism:    opt.BuildParallelism,
 		FlushThreshold:      opt.FlushThreshold,
 	})

@@ -140,32 +140,15 @@ func NewGenerator(cfg GeneratorConfig) (*Generator, error) { return gen.New(cfg)
 // footnote 4 observes that denser data wants higher thresholds).
 const AutoActivation = -1
 
-// PageFormat selects the on-page encoding for disk-mode indexes. The
-// zero value means "the current default" (PageFormatV2).
+// PageFormat is deprecated: disk-mode indexes always store their
+// transaction lists in the block-compressed v2 layout. The type and
+// PageFormatV2 remain so existing option literals compile.
 type PageFormat int
 
-const (
-	// PageFormatV1 is the original layout: each transaction list owns a
-	// private page chain of varint-encoded records.
-	PageFormatV1 PageFormat = PageFormat(pager.FormatV1)
-	// PageFormatV2 is the block-compressed layout: lists are staged as
-	// fixed-size frames (delta + bit-packed TIDs and item gaps) and
-	// packed back to back across shared pages.
-	PageFormatV2 PageFormat = PageFormat(pager.FormatV2)
-)
-
-// pagerFormat resolves a public PageFormat to the internal pager
-// format, defaulting the zero value to v2.
-func (pf PageFormat) pagerFormat() (pager.Format, error) {
-	switch pf {
-	case 0, PageFormatV2:
-		return pager.FormatV2, nil
-	case PageFormatV1:
-		return pager.FormatV1, nil
-	default:
-		return 0, fmt.Errorf("sigtable: unknown page format %d", pf)
-	}
-}
+// PageFormatV2 is the block-compressed layout: lists are staged as
+// fixed-size frames (delta + bit-packed TIDs and item gaps) and packed
+// back to back across shared pages.
+const PageFormatV2 PageFormat = PageFormat(pager.FormatV2)
 
 // IndexOptions configures BuildIndex.
 type IndexOptions struct {
@@ -208,13 +191,9 @@ type IndexOptions struct {
 	// and Compact invalidate it by generation bump, so cached scans can
 	// never serve stale data.
 	DecodeCacheBytes int64
-	// PageFormat selects the on-page encoding used with PageSize:
-	// PageFormatV2 (the default) block-compresses records into
-	// shared-page frames with delta + bit-packed TIDs and item gaps,
-	// while PageFormatV1 keeps the original one-list-per-page-chain
-	// varint layout. Queries return identical results either way; v2
-	// writes far fewer pages and scans through a fused decode-and-score
-	// kernel. Ignored in memory mode (PageSize == 0).
+	// PageFormat is deprecated: pages are always block-compressed
+	// (PageFormatV2). Zero and PageFormatV2 are accepted; any other
+	// value fails the build.
 	PageFormat PageFormat
 	// BuildParallelism bounds the goroutines used by the build
 	// pipeline: support counting, supercoordinate computation, TID
@@ -345,17 +324,12 @@ func BuildIndex(d *Dataset, opt IndexOptions) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	format, err := opt.PageFormat.pagerFormat()
-	if err != nil {
-		return nil, err
-	}
 	table, err := core.Build(d, part, core.BuildOptions{
 		ActivationThreshold: r,
 		PageSize:            opt.PageSize,
 		PageFile:            opt.PageFile,
 		BufferPoolPages:     opt.BufferPoolPages,
 		DecodeCacheBytes:    opt.DecodeCacheBytes,
-		PageFormat:          format,
 		Parallelism:         opt.BuildParallelism,
 		FlushThreshold:      opt.FlushThreshold,
 	})
@@ -375,6 +349,9 @@ func minePartition(d *Dataset, opt *IndexOptions) (*signature.Partition, int, Bu
 	var stats BuildStats
 	if d.Len() == 0 {
 		return nil, 0, stats, fmt.Errorf("sigtable: cannot index an empty dataset")
+	}
+	if opt.PageFormat != 0 && opt.PageFormat != PageFormatV2 {
+		return nil, 0, stats, fmt.Errorf("sigtable: unknown page format %d (only v2 is written)", opt.PageFormat)
 	}
 	*opt = opt.withDefaults(d.Len())
 

@@ -50,17 +50,16 @@ func snapshotScript(n, ops int, seed int64, universe int) []snapshotOp {
 // while a writer applies a deterministic mutation script, concurrent
 // readers pin snapshots mid-flight and query them; afterwards each
 // captured result must byte-match a serialized replay of the script
-// prefix the snapshot's version identifies. Runs across the memory,
-// disk-v1 and disk-v2 storage modes, with a small flush threshold so
-// captures straddle overflow flushes.
+// prefix the snapshot's version identifies. Runs in memory and on
+// disk pages, with a small flush threshold so captures straddle
+// overflow flushes.
 func TestSnapshotByteIdentity(t *testing.T) {
 	variants := []struct {
 		name string
 		opt  IndexOptions
 	}{
 		{"memory", IndexOptions{SignatureCardinality: 8}},
-		{"disk-v1", IndexOptions{SignatureCardinality: 8, PageSize: 256, PageFormat: PageFormatV1, FlushThreshold: 4, DecodeCacheBytes: 1 << 18}},
-		{"disk-v2", IndexOptions{SignatureCardinality: 8, PageSize: 256, PageFormat: PageFormatV2, FlushThreshold: 4, DecodeCacheBytes: 1 << 18}},
+		{"disk-v2", IndexOptions{SignatureCardinality: 8, PageSize: 256, FlushThreshold: 4, DecodeCacheBytes: 1 << 18}},
 	}
 	const (
 		n       = 400
