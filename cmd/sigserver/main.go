@@ -25,8 +25,8 @@
 //	POST /v1/query /v1/range /v1/multi /v1/batch /v1/insert /v1/delete /v1/explain /v1/rebuild
 //	GET  /debug/pprof/...
 //
-// The unversioned routes (/stats, /query, ...) answer 410 Gone with a
-// Link to their /v1 successor. Example:
+// The unversioned routes (/stats, /query, ...) are gone and answer
+// 404. Example:
 //
 //	curl -s localhost:8080/v1/query -d '{"items":[3,17,42],"f":"cosine","k":5}'
 //

@@ -156,9 +156,10 @@
 // maintained incrementally by Insert/InsertBatch/Delete and rebuilt by
 // Compact. Queries rank every entry with a bit-sliced kernel over the
 // overlapped signatures' bitmaps and consume the order lazily
-// best-first from a counting-sort ladder — byte-identical, position by
-// position, to fully sorting every entry's scalar bounds, the
-// reference the property tests compare it against.
+// best-first from a ladder that splits, tie-keys and sorts only the
+// segments the search reaches — byte-identical, position by position,
+// to fully sorting every entry's scalar bounds, the reference the
+// property tests compare it against.
 // Engine.DirectoryStats reports the
 // directory's size and ranking counters; the same numbers surface as
 // sigtable_directory_* metrics and the /v1/stats directory section,
@@ -186,9 +187,7 @@
 // /v1/metrics endpoint exports query counts, latency histograms,
 // branch-and-bound cost counters, and on a sharded engine the
 // per-shard sigtable_shard_* family, in the Prometheus text format.
-// The pre-/v1 unversioned routes are retired: they answer 410 Gone
-// with the /v1 successor named in the error envelope and a Link
-// header.
+// The pre-/v1 unversioned routes are gone: they answer 404.
 //
 // See examples/ for runnable programs and DESIGN.md for the mapping
 // from the paper's sections to packages.

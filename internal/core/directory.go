@@ -45,18 +45,25 @@ import (
 // adds per set bit. The integers, and therefore the f.Score floats,
 // are bit-identical to the naive loop's.
 //
-// Ranked entries then go into a counting-sort ladder rather than a
-// heap: sort keys quantize (via the order-preserving float→uint64
-// encoding encodeThreshold) into at most 256 buckets whose key ranges
-// are disjoint and descending, so consuming buckets first-to-last
-// visits entries in exactly the visiting order once each bucket is
-// sorted — and a bucket is sorted only when consumption reaches it. A
-// query that prunes after a short prefix never sorts the tail, and in
-// bound order never even computes the tail's tie-break keys (the
-// second similarity call per entry). The visiting order is a strict
-// total order — coordinates are unique within a table — so the lazily
-// sorted ladder yields the same sequence as a full sort of all entries
-// by CompareRanked, element for element.
+// Ranked entries then go into a ladder that orders only the prefix the
+// search consumes. Sort keys map (via the order-preserving float→uint64
+// encoding encodeThreshold) onto radix keys, and one counting pass
+// splits the entries by the top varying 8 bits of the keys' span into
+// at most 256 segments whose key ranges are disjoint and descending.
+// When consumption reaches a segment it is split again by the top
+// varying bits of its own keys, the later bins going onto a stack of
+// pending segments; only the front bin is refined further. A bin that
+// is small or holds a single sort key gets its tie-break keys (in bound
+// order, the second similarity call per entry) and is then fully
+// ordered. The recursion is what makes the ladder pay: the top bits of
+// a float's encoding are its sign and exponent, so a split on the whole
+// span leaves every bound in [0.5, 1) in one bin — on a
+// 50k-transaction K=15 table, 15.9k of 17.4k entries, of which a k=1
+// search visits 1.7k. A prune break needs only a count of what is
+// left, so the tail behind it is never ordered. The visiting order is
+// a strict total order — coordinates are unique within a table — so
+// the lazily split ladder yields the same sequence as a full sort of
+// all entries by CompareRanked, element for element.
 
 // Process-wide directory telemetry. Counters live at package level,
 // not on the Table, so they survive the table swaps Rebuild/Compact
@@ -65,6 +72,8 @@ var (
 	dirRebuilds  atomic.Uint64 // directories built from scratch
 	dirRanks     atomic.Uint64 // bit-sliced ranking passes
 	dirRankNanos atomic.Int64  // cumulative nanoseconds ranking entries
+	dirRanked    atomic.Uint64 // entries the kernel bounded
+	dirOrdered   atomic.Uint64 // entries a ladder put in final order
 )
 
 // directory is the columnar activation index over a table's entry
@@ -179,62 +188,122 @@ type DirectoryStats struct {
 	Rebuilds uint64
 	// Ranks counts bit-sliced ranking passes process-wide.
 	Ranks uint64
-	// RankSeconds is the cumulative wall time of those passes (kernel
-	// plus bucket scatter; lazy bucket sorts during consumption are
-	// not included).
+	// RankSeconds is the cumulative wall time of those passes: the
+	// kernel plus the ladder's first split. Ordering done lazily during
+	// consumption (later splits, tie keys, final sorts) is excluded.
 	RankSeconds float64
+	// EntriesRanked counts entries the bit-sliced kernel bounded,
+	// process-wide.
+	EntriesRanked uint64
+	// EntriesOrdered counts entries a ladder put in final visiting
+	// order, process-wide. The gap to EntriesRanked is the ranking the
+	// lazy ladder skipped: entries behind a prune break or a stop.
+	EntriesOrdered uint64
 }
 
 // DirectoryStats snapshots the table's directory and the process-wide
 // ranking counters.
 func (t *Table) DirectoryStats() DirectoryStats {
 	st := DirectoryStats{
-		Rebuilds:    dirRebuilds.Load(),
-		Ranks:       dirRanks.Load(),
-		RankSeconds: float64(dirRankNanos.Load()) / 1e9,
+		Rebuilds:       dirRebuilds.Load(),
+		Ranks:          dirRanks.Load(),
+		RankSeconds:    float64(dirRankNanos.Load()) / 1e9,
+		EntriesRanked:  dirRanked.Load(),
+		EntriesOrdered: dirOrdered.Load(),
 	}
 	st.Slots = t.dir.slots
 	st.Bytes = t.dir.bytes()
 	return st
 }
 
-// entryLadder is the bucketed best-first container every engine
-// consumes ranked entries from: items grouped by quantized sort key
-// into buckets whose key ranges are disjoint and strictly descending,
-// each bucket sorted (and, in bound order, its tie keys computed) only
-// when consumption reaches it. Pop and Peek require Len() > 0. It is
-// not safe for concurrent use.
+// entryLadder is the best-first container every engine consumes
+// ranked entries from. items[pos:ordered] is the ordered region, in
+// final visiting order. items[ordered:] is cut into pending segments
+// whose key ranges are disjoint and descend in visiting order; pending
+// holds their ends, the first segment's end on top. Pop and Peek
+// require Len() > 0. It is not safe for concurrent use.
 type entryLadder struct {
-	items  []rankedEntry // bucket-grouped; bucket b is items[starts[b]:starts[b+1]]
-	starts []int32       // len buckets+1
-	sorted []bool        // per bucket
-	bucket int           // current bucket
-	pos    int           // absolute index of the next item
-	left   int           // remaining items
+	items   []rankedEntry
+	keys    []uint64 // radixKey of each pending item's sort key
+	pos     int      // index of the next item
+	ordered int      // end of the ordered region
+	pending []int32  // pending segment ends, a stack; its backing stays in the pooled scratch
+	splits  int      // segments split during consumption
 
+	// Split scratch, as long as items; the ranking pass staged items
+	// and keys here before the first split.
+	tmpE []rankedEntry
+	tmpK []uint64
+
+	lazyTie bool // bound order: tie keys filled when a segment is ordered
 	byBound bool
-	lazyTie bool // bound order: tie keys filled at bucket-sort time
 	f       simfun.Func
 	target  signature.Coord
-	sc      *queryScratch // owner; its pre-ladder buffers back the radix scratch
+}
+
+// newLadder moves n staged items, with radix keys in [mn, mx], into the
+// scratch's ladder by one split pass. Nothing is ordered yet.
+func newLadder(sc *queryScratch, n int, mn, mx uint64, by SortCriterion, f simfun.Func, target signature.Coord, lazyTie bool) *entryLadder {
+	l := &sc.ladder
+	*l = entryLadder{
+		items:   resizeItems(&sc.items, n),
+		keys:    resizeU64(&sc.keys, n),
+		pending: l.pending[:0],
+		tmpE:    sc.tmpItems[:n],
+		tmpK:    sc.tmpKeys[:n],
+		lazyTie: lazyTie,
+		byBound: by == ByOptimisticBound,
+		f:       f,
+		target:  target,
+	}
+	l.split(0, l.tmpE, l.tmpK, mn, mx)
+	return l
 }
 
 // Len reports how many ranked entries remain.
-func (l *entryLadder) Len() int { return l.left }
+func (l *entryLadder) Len() int { return len(l.items) - l.pos }
 
-// advance positions the cursor on the bucket holding the next item and
-// sorts it if this is the first visit.
+// advance makes sure the next item is ordered: while the ordered
+// region is used up, it takes the first pending segment and splits it
+// (a large one with distinct sort keys) or orders it fully.
 func (l *entryLadder) advance() {
-	for l.pos >= int(l.starts[l.bucket+1]) {
-		l.bucket++
-	}
-	if !l.sorted[l.bucket] {
-		l.sortBucket(l.bucket)
+	for l.pos == l.ordered {
+		top := len(l.pending) - 1
+		lo, hi := l.ordered, int(l.pending[top])
+		l.pending = l.pending[:top]
+		seg, keys := l.items[lo:hi], l.keys[lo:hi]
+		if len(seg) > radixCutover {
+			if mn, mx := minmaxU64(keys); mn != mx {
+				tmpE, tmpK := l.tmpE[:len(seg)], l.tmpK[:len(seg)]
+				copy(tmpE, seg)
+				copy(tmpK, keys)
+				l.split(lo, tmpE, tmpK, mn, mx)
+				l.splits++
+				continue
+			}
+		}
+		l.order(seg, keys)
+		l.ordered = hi
 	}
 }
 
-func (l *entryLadder) sortBucket(b int) {
-	seg := l.items[l.starts[b]:l.starts[b+1]]
+// split scatters srcE (keys srcK, spanning [mn, mx]) into items from lo
+// on, binned by the top varying 8 bits of the span, and pushes the
+// bins' ends so the front bin is on top.
+func (l *entryLadder) split(lo int, srcE []rankedEntry, srcK []uint64, mn, mx uint64) {
+	hi := lo + len(srcE)
+	counts := scatterByDigit(l.items[lo:hi], l.keys[lo:hi], srcE, srcK, mn, mx)
+	for b := len(counts) - 1; b >= 0; b-- {
+		if c := int(counts[b]); c > 0 {
+			l.pending = append(l.pending, int32(hi))
+			hi -= c
+		}
+	}
+}
+
+// order puts a segment that is small or holds a single sort key into
+// final visiting order, filling its tie keys first when they are lazy.
+func (l *entryLadder) order(seg []rankedEntry, keys []uint64) {
 	if l.lazyTie {
 		for i := range seg {
 			seg[i].tie = coordSimilarity(l.f, l.target, seg[i].e.Coord)
@@ -242,22 +311,15 @@ func (l *entryLadder) sortBucket(b int) {
 	}
 	if len(seg) <= radixCutover {
 		cmpRanked(seg)
-		l.sorted[b] = true
-		return
+	} else {
+		// One sort key: order by tie, then coordinate. Bound scores
+		// take few discrete values, so such a segment can hold
+		// thousands of entries, and a comparison sort would spend
+		// O(n log n) three-field compares on them.
+		fillStageKeys(seg, keys, 1)
+		radixStage(seg, keys, l.tmpE, l.tmpK, 1)
 	}
-	// Bound scores take few discrete values, so a quantized bucket
-	// routinely holds most of the occupied entries and a comparison
-	// sort degenerates into O(n log n) three-field compares. Instead:
-	// staged radix over precomputed uint64 keys, one stage per
-	// comparator field, refining only the equal-key runs. All three
-	// buffers are dead pre-ladder scratch.
-	n := len(seg)
-	keys := resizeU64(&l.sc.enc, n)
-	tmpE := resizeItems(&l.sc.items, n)
-	tmpK := resizeU64(&l.sc.keys, n)
-	fillStageKeys(seg, keys, 0)
-	radixStage(seg, keys, tmpE, tmpK, 0)
-	l.sorted[b] = true
+	dirOrdered.Add(uint64(len(seg)))
 }
 
 // radixCutover is the segment length below which comparison sort beats
@@ -265,8 +327,7 @@ func (l *entryLadder) sortBucket(b int) {
 const radixCutover = 48
 
 // encodeThreshold maps a float64 to a uint64 such that the natural
-// float ordering becomes unsigned integer ordering — the ladder's
-// bucket and radix keys.
+// float ordering becomes unsigned integer ordering.
 func encodeThreshold(v float64) uint64 {
 	b := math.Float64bits(v)
 	if b&(1<<63) != 0 {
@@ -274,6 +335,13 @@ func encodeThreshold(v float64) uint64 {
 	}
 	return b | 1<<63
 }
+
+// radixKey is the ladder's key for a sort or tie key: complementing the
+// encoding turns ascending radix order into the descending order
+// rankedBefore wants, and adding +0.0 first collapses -0 onto +0 so
+// equal floats share a key, the same equivalence CompareRanked's !=
+// tests use.
+func radixKey(v float64) uint64 { return ^encodeThreshold(v + 0) }
 
 func cmpRanked(seg []rankedEntry) {
 	// Coordinates are unique within an entry set, so the order is
@@ -286,26 +354,17 @@ func cmpRanked(seg []rankedEntry) {
 	})
 }
 
-// fillStageKeys materializes the radix key for one comparator field:
-// stage 0 is the sort key, stage 1 the tie key, stage 2 the
-// coordinate. Complementing the threshold encodings turns ascending
-// radix order into the descending (sort, tie) order rankedBefore
-// wants; adding +0.0 first collapses -0 onto +0 so equal floats share
-// a key, the same equivalence CompareRanked's != tests use.
+// fillStageKeys materializes the radix key for one comparator field
+// below the sort key: stage 1 is the tie key, stage 2 the coordinate.
 func fillStageKeys(seg []rankedEntry, keys []uint64, stage int) {
-	switch stage {
-	case 0:
+	if stage == 1 {
 		for i := range seg {
-			keys[i] = ^encodeThreshold(seg[i].sort + 0)
+			keys[i] = radixKey(seg[i].tie)
 		}
-	case 1:
-		for i := range seg {
-			keys[i] = ^encodeThreshold(seg[i].tie + 0)
-		}
-	default:
-		for i := range seg {
-			keys[i] = uint64(seg[i].e.Coord)
-		}
+		return
+	}
+	for i := range seg {
+		keys[i] = uint64(seg[i].e.Coord)
 	}
 }
 
@@ -377,16 +436,16 @@ func insertionByKey(seg []rankedEntry, keys []uint64) {
 	}
 }
 
-// radixMSD counting-scatters by the top varying 8 bits — the digit
-// (k-mn)>>sh is at most 255 when sh = Len64(mx-mn)-8 — and recurses
-// into the bins that still hold distinct keys.
-func radixMSD(seg []rankedEntry, keys []uint64, tmpE []rankedEntry, tmpK []uint64, mn, mx uint64) {
+// scatterByDigit stable-scatters srcE and srcK (keys in [mn, mx]) into
+// dstE and dstK by the top varying 8 bits of the span — the digit
+// (k-mn)>>sh is at most 255 when sh = Len64(mx-mn)-8 — and returns the
+// per-digit counts. With mn == mx everything lands in digit 0.
+func scatterByDigit(dstE []rankedEntry, dstK []uint64, srcE []rankedEntry, srcK []uint64, mn, mx uint64) (counts [256]int32) {
 	sh := uint(0)
 	if l := bits.Len64(mx - mn); l > 8 {
 		sh = uint(l - 8)
 	}
-	var counts [256]int32
-	for _, k := range keys {
+	for _, k := range srcK {
 		counts[(k-mn)>>sh]++
 	}
 	var offs [256]int32
@@ -395,15 +454,22 @@ func radixMSD(seg []rankedEntry, keys []uint64, tmpE []rankedEntry, tmpK []uint6
 		offs[b] = sum
 		sum += counts[b]
 	}
-	tmpE, tmpK = tmpE[:len(seg)], tmpK[:len(seg)]
-	copy(tmpE, seg)
-	copy(tmpK, keys)
-	for i, k := range tmpK {
+	for i, k := range srcK {
 		d := (k - mn) >> sh
 		o := offs[d]
 		offs[d] = o + 1
-		seg[o], keys[o] = tmpE[i], k
+		dstE[o], dstK[o] = srcE[i], k
 	}
+	return counts
+}
+
+// radixMSD sorts by the top varying 8 bits and recurses into the bins
+// that still hold distinct keys.
+func radixMSD(seg []rankedEntry, keys []uint64, tmpE []rankedEntry, tmpK []uint64, mn, mx uint64) {
+	tmpE, tmpK = tmpE[:len(seg)], tmpK[:len(seg)]
+	copy(tmpE, seg)
+	copy(tmpK, keys)
+	counts := scatterByDigit(seg, keys, tmpE, tmpK, mn, mx)
 	start := int32(0)
 	for b := range counts {
 		n := counts[b]
@@ -426,7 +492,6 @@ func (l *entryLadder) Pop() rankedEntry {
 	l.advance()
 	re := l.items[l.pos]
 	l.pos++
-	l.left--
 	return re
 }
 
@@ -437,7 +502,8 @@ func (l *entryLadder) Peek() rankedEntry {
 }
 
 // All visits every remaining entry in unspecified order (the batch
-// engine's per-entry bound memo fill).
+// engine's per-entry bound memo fill). Entries not yet ordered carry
+// no tie key in bound order.
 func (l *entryLadder) All(fn func(rankedEntry)) {
 	for i := l.pos; i < len(l.items); i++ {
 		fn(l.items[i])
@@ -445,15 +511,10 @@ func (l *entryLadder) All(fn func(rankedEntry)) {
 }
 
 // Drop discards everything remaining, returning how many entries were
-// dropped — the prune-break accounting.
+// dropped — the prune-break accounting. Nothing is ordered.
 func (l *entryLadder) Drop() int {
-	n := l.left
-	l.left = 0
-	l.pos = len(l.items)
-	l.bucket = len(l.starts) - 2
-	if l.bucket < 0 {
-		l.bucket = 0
-	}
+	n := l.Len()
+	l.pos, l.ordered = len(l.items), len(l.items)
 	return n
 }
 
@@ -461,25 +522,20 @@ func (l *entryLadder) Drop() int {
 // remaining entries, or -Inf when none remain — the certificate
 // epilogue.
 func (l *entryLadder) MaxRemainingOpt() float64 {
-	if l.left == 0 {
+	if l.Len() == 0 {
 		return math.Inf(-1)
 	}
-	max := math.Inf(-1)
+	rest := l.items[l.pos:]
 	if l.byBound {
-		// Bucket key ranges descend and sort == opt, so the maximum
-		// remaining bound lives in the first non-exhausted bucket.
-		b := l.bucket
-		for l.pos >= int(l.starts[b+1]) {
-			b++
+		// sort == opt and segments descend, so the maximum is the
+		// ordered region's head or lives in the first pending segment.
+		if l.pos < l.ordered {
+			return l.items[l.pos].opt
 		}
-		for _, re := range l.items[l.pos:l.starts[b+1]] {
-			if re.opt > max {
-				max = re.opt
-			}
-		}
-		return max
+		rest = l.items[l.pos:l.pending[len(l.pending)-1]]
 	}
-	for _, re := range l.items[l.pos:] {
+	max := math.Inf(-1)
+	for _, re := range rest {
 		if re.opt > max {
 			max = re.opt
 		}
@@ -496,11 +552,12 @@ func (t *Table) rankSource(sc *queryScratch, f simfun.Func, overlaps []int, targ
 	src := t.rankBitsliced(sc, f, overlaps, targetCoord, by)
 	dirRankNanos.Add(time.Since(start).Nanoseconds())
 	dirRanks.Add(1)
+	dirRanked.Add(uint64(src.Len()))
 	return src
 }
 
 // rankBitsliced computes every slot's bounds through the directory
-// decomposition and scatters the ranked entries into the ladder.
+// decomposition and splits the ranked entries into the ladder.
 func (t *Table) rankBitsliced(sc *queryScratch, f simfun.Func, overlaps []int, targetCoord signature.Coord, by SortCriterion) *entryLadder {
 	d := t.dir
 	n := d.slots
@@ -545,10 +602,9 @@ func (t *Table) rankBitsliced(sc *queryScratch, f simfun.Func, overlaps []int, t
 		}
 	}
 
-	items := resizeItems(&sc.items, n)
-	enc := resizeU64(&sc.enc, n)
+	items, keys := sc.stage(n)
 	lazyTie := by == ByOptimisticBound
-	encMin, encMax := ^uint64(0), uint64(0)
+	mn, mx := ^uint64(0), uint64(0)
 	for s := 0; s < n; s++ {
 		e := t.entries[s]
 		m := baseM + int(accM[s])
@@ -560,94 +616,25 @@ func (t *Table) rankBitsliced(sc *queryScratch, f simfun.Func, overlaps []int, t
 			sortKey = tie
 		}
 		items[s] = rankedEntry{e: e, idx: s, opt: opt, sort: sortKey, tie: tie}
-		k := encodeThreshold(sortKey)
-		enc[s] = k
-		if k < encMin {
-			encMin = k
-		}
-		if k > encMax {
-			encMax = k
-		}
+		k := radixKey(sortKey)
+		keys[s] = k
+		mn, mx = min(mn, k), max(mx, k)
 	}
-	return buildLadder(sc, items, enc, encMin, encMax, by, f, targetCoord, lazyTie)
+	return newLadder(sc, n, mn, mx, by, f, targetCoord, lazyTie)
 }
 
-// wrapRanked turns an eagerly ranked item slice (the multi-target
-// path, which averages per-target keys and has every field filled)
-// into a ladder.
+// wrapRanked turns eagerly ranked items, staged by sc.stage (the
+// multi-target path, which averages per-target keys and has every
+// field filled), into a ladder.
 func (t *Table) wrapRanked(sc *queryScratch, items []rankedEntry, by SortCriterion) *entryLadder {
-	enc := resizeU64(&sc.enc, len(items))
-	encMin, encMax := ^uint64(0), uint64(0)
+	keys := sc.tmpKeys[:len(items)]
+	mn, mx := ^uint64(0), uint64(0)
 	for i := range items {
-		k := encodeThreshold(items[i].sort)
-		enc[i] = k
-		if k < encMin {
-			encMin = k
-		}
-		if k > encMax {
-			encMax = k
-		}
+		k := radixKey(items[i].sort)
+		keys[i] = k
+		mn, mx = min(mn, k), max(mx, k)
 	}
-	return buildLadder(sc, items, enc, encMin, encMax, by, nil, 0, false)
-}
-
-// buildLadder counting-sorts items into descending quantized-key
-// buckets. The quantization shift keeps the bucket count at most 256;
-// equal keys always share a bucket, so bucket boundaries never split a
-// tie group across a sort boundary.
-func buildLadder(sc *queryScratch, items []rankedEntry, enc []uint64, encMin, encMax uint64, by SortCriterion, f simfun.Func, target signature.Coord, lazyTie bool) *entryLadder {
-	l := &sc.ladder
-	*l = entryLadder{
-		byBound: by == ByOptimisticBound,
-		lazyTie: lazyTie,
-		f:       f,
-		target:  target,
-		// items is always built in sc.items and scattered into sc.swap,
-		// so sc's source buffers are dead by the time a bucket sorts.
-		sc: sc,
-	}
-	if len(items) == 0 {
-		l.items = items
-		l.starts = resizeI32(&sc.starts, 2)
-		l.starts[0], l.starts[1] = 0, 0
-		l.sorted = resizeBools(&sc.sortedBk, 1)
-		l.sorted[0] = true
-		return l
-	}
-	shift := uint(0)
-	if span := encMax - encMin; span > 0 {
-		if n := bits.Len64(span) - 8; n > 0 {
-			shift = uint(n)
-		}
-	}
-	nb := int((encMax-encMin)>>shift) + 1
-
-	starts := resizeI32(&sc.starts, nb+1)
-	clear(starts)
-	for _, k := range enc {
-		starts[int((encMax-k)>>shift)+1]++
-	}
-	for b := 1; b <= nb; b++ {
-		starts[b] += starts[b-1]
-	}
-	cur := resizeI32(&sc.cursors, nb)
-	copy(cur, starts[:nb])
-	swap := resizeItems(&sc.swap, len(items))
-	for i, it := range items {
-		b := int((encMax - enc[i]) >> shift)
-		swap[cur[b]] = it
-		cur[b]++
-	}
-	sorted := resizeBools(&sc.sortedBk, nb)
-	for b := range sorted {
-		sorted[b] = false
-	}
-
-	l.items = swap
-	l.starts = starts
-	l.sorted = sorted
-	l.left = len(items)
-	return l
+	return newLadder(sc, len(items), mn, mx, by, nil, 0, false)
 }
 
 // resize helpers: grow a pooled slice to length n, reusing capacity.
@@ -670,14 +657,6 @@ func resizeU64(p *[]uint64, n int) []uint64 {
 func resizeItems(p *[]rankedEntry, n int) []rankedEntry {
 	if cap(*p) < n {
 		*p = make([]rankedEntry, n)
-	}
-	*p = (*p)[:n]
-	return *p
-}
-
-func resizeBools(p *[]bool, n int) []bool {
-	if cap(*p) < n {
-		*p = make([]bool, n)
 	}
 	*p = (*p)[:n]
 	return *p

@@ -12,6 +12,9 @@ import (
 	"testing"
 	"testing/quick"
 
+	"sigtable/internal/cluster"
+	"sigtable/internal/gen"
+	"sigtable/internal/mining"
 	"sigtable/internal/signature"
 	"sigtable/internal/simfun"
 	"sigtable/internal/topk"
@@ -416,6 +419,127 @@ func TestQueryByteIdentityAcrossRankers(t *testing.T) {
 	}
 }
 
+// largeLadderTable builds a table big enough for the ladder's split
+// path to run: 20k random transactions over 200 items with K=13, which
+// occupies thousands of entries, so segments far above radixCutover
+// reach the cursor.
+func largeLadderTable(t *testing.T, seed int64) (tab *Table, rng *rand.Rand, universe int) {
+	t.Helper()
+	rng = rand.New(rand.NewSource(seed))
+	universe = 200
+	d := randomDataset(rng, 20000, universe)
+	part := randomPartition(t, rng, universe, 13)
+	tab = buildTestTable(t, d, part, BuildOptions{})
+	if n := len(tab.entries); n < 2000 {
+		t.Fatalf("fixture occupies %d entries, want >= 2000", n)
+	}
+	return tab, rng, universe
+}
+
+// rankTarget ranks the table for one target through the directory
+// kernel, as Query does, on borrowed scratch the caller returns.
+func rankTarget(tab *Table, target txn.Transaction, f simfun.Func, by SortCriterion) (*entryLadder, *queryScratch) {
+	if ta, ok := f.(simfun.TargetAware); ok {
+		f = ta.Bind(target)
+	}
+	sc := tab.getScratch()
+	return tab.rankSource(sc, f, tab.part.Overlaps(target, nil), coordOf(tab, target), by), sc
+}
+
+// TestLadderSplitIdentityLargeTable checks the lazily split ladder at a
+// scale where it splits: its pop sequence equals the reference full
+// sort element for element, MaxRemainingOpt before every pop equals the
+// largest bound left in the reference, and Query equals
+// referenceSearch field for
+// field, for every similarity function, both sort orders, with and
+// without a 2% scan budget, before and after InsertSnapshot/
+// DeleteSnapshot steps. It also asserts that segments were split
+// during consumption and that some budgeted search stopped with the
+// ladder's next entries still in a pending segment, so BestPossible
+// was read from one.
+func TestLadderSplitIdentityLargeTable(t *testing.T) {
+	tab, rng, universe := largeLadderTable(t, 16)
+	ctx := context.Background()
+	splits, pendingStops := 0, 0
+	for phase := 0; phase < 2; phase++ {
+		if phase == 1 {
+			tab = mutateTable(rng, tab, universe, 60)
+		}
+		for _, f := range allSimFuncs() {
+			for _, by := range []SortCriterion{ByOptimisticBound, ByCoordSimilarity} {
+				target := randomTarget(rng, universe)
+				label := fmt.Sprintf("phase %d %T by %v", phase, f, by)
+
+				want := referenceOrder(tab, []txn.Transaction{target}, f, by)
+				// restMax[i] is the largest bound from position i on:
+				// what MaxRemainingOpt must report after i pops.
+				restMax := make([]float64, len(want)+1)
+				restMax[len(want)] = math.Inf(-1)
+				for i := len(want) - 1; i >= 0; i-- {
+					restMax[i] = max(want[i].opt, restMax[i+1])
+				}
+				src, sc := rankTarget(tab, target, f, by)
+				var got []rankedEntry
+				for {
+					if m := src.MaxRemainingOpt(); math.Float64bits(m) != math.Float64bits(restMax[len(got)]) {
+						t.Fatalf("%s after %d pops: MaxRemainingOpt %v, reference %v", label, len(got), m, restMax[len(got)])
+					}
+					if src.Len() == 0 {
+						break
+					}
+					got = append(got, src.Pop())
+				}
+				splits += src.splits
+				tab.putScratch(sc)
+				if len(got) != len(want) {
+					t.Fatalf("%s: ladder popped %d entries, reference has %d", label, len(got), len(want))
+				}
+				for i := range want {
+					w, l := want[i], got[i]
+					if w.e != l.e || w.idx != l.idx ||
+						math.Float64bits(w.opt) != math.Float64bits(l.opt) ||
+						math.Float64bits(w.sort) != math.Float64bits(l.sort) ||
+						math.Float64bits(w.tie) != math.Float64bits(l.tie) {
+						t.Fatalf("%s position %d: reference %#x, ladder %#x", label, i, w.e.Coord, l.e.Coord)
+					}
+				}
+
+				for _, frac := range []float64{0, 0.02} {
+					opt := QueryOptions{K: 1 + rng.Intn(5), SortBy: by, MaxScanFraction: frac}
+					res, err := tab.Query(ctx, target, f, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ref := referenceSearch(tab, []txn.Transaction{target}, f, opt)
+					if a, b := identityOf(t, res), identityOf(t, ref); !reflect.DeepEqual(a, b) {
+						t.Fatalf("%s frac %v: Query %+v != reference %+v", label, frac, a, b)
+					}
+					if frac == 0 || by != ByOptimisticBound || res.EntriesPruned != 0 {
+						continue
+					}
+					// The budget stopped the search: replay its visits to
+					// see which ladder region MaxRemainingOpt read.
+					src, sc := rankTarget(tab, target, f, by)
+					for i := 0; i < res.EntriesScanned; i++ {
+						src.Pop()
+					}
+					if src.Len() > 0 && src.pos == src.ordered {
+						pendingStops++
+					}
+					tab.putScratch(sc)
+				}
+			}
+		}
+	}
+	if splits == 0 {
+		t.Fatal("no segment was split during consumption")
+	}
+	if pendingStops == 0 {
+		t.Fatal("no budgeted search stopped in front of a pending segment")
+	}
+	t.Logf("%d splits, %d budget stops in front of a pending segment", splits, pendingStops)
+}
+
 var rankBench struct {
 	once     sync.Once
 	table    *Table
@@ -439,11 +563,90 @@ func rankBenchSetup(b *testing.B) {
 	})
 }
 
+// microRank reproduces the root package's micro-benchmark fixture —
+// a generated T10.I6 50k-transaction dataset (seed 77), a mined K=15
+// partition with IndexOptions' default support settings, 256 generated
+// queries — so the ranking a real query pays can be measured in
+// isolation.
+var microRank struct {
+	once    sync.Once
+	table   *Table
+	queries []txn.Transaction
+}
+
+func microRankSetup(b *testing.B) {
+	microRank.once.Do(func() {
+		g, err := gen.New(gen.Config{Seed: 77})
+		if err != nil {
+			b.Fatal(err)
+		}
+		d := g.Dataset(50000)
+		counts := mining.Count(d, mining.CountOptions{MaxSample: 50000, CountPairs: true})
+		sets, err := cluster.Exact(counts.ItemSupports(), counts.FrequentPairs(0.0005), 15)
+		if err != nil {
+			b.Fatal(err)
+		}
+		part, err := signature.NewPartition(d.UniverseSize(), sets)
+		if err != nil {
+			b.Fatal(err)
+		}
+		r := RecommendActivation(d, part, 50000)
+		microRank.table, err = Build(d, part, BuildOptions{ActivationThreshold: r})
+		if err != nil {
+			b.Fatal(err)
+		}
+		microRank.queries = g.Queries(256)
+	})
+}
+
 // BenchmarkEntryRanking measures the directory's bit-sliced kernel
-// plus counting-sort ladder on a 50k-transaction K=15 table: rank
-// every entry, then pop a 16-entry prefix — the part of the work every
-// query pays before pruning can start.
+// plus the lazily split ladder.
+//
+// visited-prefix is the ranking a real query pays: on the micro
+// fixture (BenchmarkQuerySignatureTableNN's data, K and queries) it
+// ranks each query's entries and pops exactly as many as that query's
+// cosine k=1 search pops before its prune break, then drops the rest.
+// bitsliced, on a 50k-transaction random K=15 table, ranks every entry
+// and pops a fixed 16-entry prefix.
 func BenchmarkEntryRanking(b *testing.B) {
+	b.Run("visited-prefix", func(b *testing.B) {
+		microRankSetup(b)
+		t := microRank.table
+		type query struct {
+			f        simfun.Func
+			overlaps []int
+			coord    signature.Coord
+			pops     int
+		}
+		qs := make([]query, len(microRank.queries))
+		total := 0
+		for i, tgt := range microRank.queries {
+			res, err := t.Query(context.Background(), tgt, simfun.Cosine{}, QueryOptions{K: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			pops := res.EntriesScanned
+			if res.EntriesPruned > 0 {
+				pops++ // the entry whose prune ended the search
+			}
+			overlaps := t.part.Overlaps(tgt, nil)
+			qs[i] = query{simfun.Cosine{}.Bind(tgt), overlaps, signature.CoordOfOverlaps(overlaps, t.r), pops}
+			total += pops
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			q := qs[i%len(qs)]
+			sc := t.getScratch()
+			src := t.rankSource(sc, q.f, q.overlaps, q.coord, ByOptimisticBound)
+			for j := 0; j < q.pops; j++ {
+				src.Pop()
+			}
+			src.Drop()
+			t.putScratch(sc)
+		}
+		b.ReportMetric(float64(total)/float64(len(qs)), "pops/query")
+	})
 	rankBenchSetup(b)
 	b.Run("bitsliced", func(b *testing.B) {
 		t := rankBench.table
@@ -496,6 +699,26 @@ func TestDirectoryStatsCounters(t *testing.T) {
 	}
 	if got := tab.DirectoryStats().Slots; got != len(tab.entries) || got < n {
 		t.Fatalf("Slots = %d after inserts, entries = %d", got, len(tab.entries))
+	}
+
+	// On a large table a k=1 query ranks every entry but orders only
+	// the prefix it consumes before its prune break.
+	big, rng, universe := largeLadderTable(t, 9)
+	st = big.DirectoryStats()
+	res, err := big.Query(context.Background(), randomTarget(rng, universe), simfun.Cosine{}, QueryOptions{K: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	after = big.DirectoryStats()
+	ranked := after.EntriesRanked - st.EntriesRanked
+	ordered := after.EntriesOrdered - st.EntriesOrdered
+	t.Logf("k=1 query: %d entries ranked, %d ordered, %d visited", ranked, ordered, res.EntriesScanned+1)
+	if ranked != uint64(len(big.entries)) {
+		t.Fatalf("EntriesRanked grew by %d for one query over %d entries", ranked, len(big.entries))
+	}
+	if ordered < uint64(res.EntriesScanned+1) || ordered >= ranked {
+		t.Fatalf("EntriesOrdered grew by %d: want at least the %d entries popped and fewer than the %d ranked",
+			ordered, res.EntriesScanned+1, ranked)
 	}
 }
 

@@ -58,7 +58,7 @@ func (t *Table) MultiQuery(ctx context.Context, targets []txn.Transaction, f sim
 
 	sc := t.getScratch()
 	defer t.putScratch(sc)
-	items := resizeItems(&sc.items, len(t.entries))
+	items, _ := sc.stage(len(t.entries))
 	for i, e := range t.entries {
 		optSum, simSum := 0.0, 0.0
 		for j := range targets {

@@ -22,19 +22,23 @@ import (
 type queryScratch struct {
 	overlaps []int
 
-	// Bit-sliced ranking state: per-slot bound accumulators, ranked
-	// items and their quantized sort keys, the counting-sort bucket
-	// bounds/cursors, and the ladder itself.
-	items    []rankedEntry
-	swap     []rankedEntry
-	enc      []uint64
-	keys     []uint64
+	// Bit-sliced ranking state: per-slot bound accumulators, the
+	// staging buffers ranking writes into (later the ladder's split
+	// scratch), the ladder's items and radix keys, and the ladder
+	// itself, whose pending stack keeps its grown backing here.
 	accM     []int32
 	accD     []int32
-	starts   []int32
-	cursors  []int32
-	sortedBk []bool
+	tmpItems []rankedEntry
+	tmpKeys  []uint64
+	items    []rankedEntry
+	keys     []uint64
 	ladder   entryLadder
+}
+
+// stage returns n-long buffers for a ranking pass to fill before
+// newLadder splits them into the ladder.
+func (sc *queryScratch) stage(n int) ([]rankedEntry, []uint64) {
+	return resizeItems(&sc.tmpItems, n), resizeU64(&sc.tmpKeys, n)
 }
 
 func (t *Table) getScratch() *queryScratch {

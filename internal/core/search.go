@@ -111,7 +111,7 @@ type rankedEntry struct {
 
 // rankedBefore is the visiting order: decreasing sort key, ties broken
 // by decreasing supercoordinate similarity, then coordinate. Shared by
-// the ladder's bucket sorts and the batch engine's cross-target entry
+// the ladder's segment sorts and the batch engine's cross-target entry
 // picking. Optimistic bounds tie in droves (hamming yields few distinct
 // D_opt values, and every superset of the target's coordinate bounds
 // at distance 0). Among ties, visit the entry whose activation pattern

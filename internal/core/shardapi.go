@@ -130,7 +130,7 @@ func (p *TargetPlan) TargetCoord() signature.Coord { return p.coords[0] }
 // visiting order for a plan — the shard worker's replacement for
 // ranking its snapshot with per-coordinate Rank calls and a full sort.
 // Single-target plans route through the table's directory kernel and
-// counting-sort ladder (directory.go), so a worker pays the bit-sliced
+// lazily split ladder (directory.go), so a worker pays the bit-sliced
 // cost and sorts only the order prefix it actually streams; multi-
 // target plans rank eagerly (the keys need the averaging loop) but
 // still consume through the ladder. The stream borrows query scratch
@@ -151,7 +151,7 @@ func (t *Table) NewRankedStream(p *TargetPlan, by SortCriterion) *RankedStream {
 	if len(p.fs) == 1 {
 		src = t.rankSource(sc, p.fs[0], p.bounders[0].overlaps, p.coords[0], by)
 	} else {
-		items := resizeItems(&sc.items, len(t.entries))
+		items, _ := sc.stage(len(t.entries))
 		for i, e := range t.entries {
 			opt, sortKey, tie := p.Rank(e.Coord, by)
 			items[i] = rankedEntry{e: e, idx: i, opt: opt, sort: sortKey, tie: tie}

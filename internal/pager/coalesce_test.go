@@ -126,7 +126,9 @@ func TestCoalescedScanMatchesPerPage(t *testing.T) {
 }
 
 // TestReadPagesBackends: both backends' vectored read returns the same
-// payloads the single-page path does, at every base and run length.
+// payloads the single-page path does, at every base and run length,
+// into fresh storage and into storage reused from the previous read
+// (runs of different lengths, so reuse both shrinks and regrows it).
 func TestReadPagesBackends(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "pages.dat")
 	fs, err := NewFileStore(path, 128)
@@ -147,15 +149,22 @@ func TestReadPagesBackends(t *testing.T) {
 	ms.Seal()
 	for _, s := range []*Store{fs, ms} {
 		np := s.NumPages()
+		var reused runBuf
 		for base := 0; base < np; base += 3 {
 			n := np - base
-			if n > 5 {
-				n = 5
+			if n > 1+base%5 {
+				n = 1 + base%5
 			}
-			run, err := s.back.readPages(PageID(base), n)
+			into := runBuf{}
+			if base%2 == 1 {
+				into = reused
+			}
+			rb, err := s.back.readPages(PageID(base), n, into)
 			if err != nil {
 				t.Fatal(err)
 			}
+			reused = rb
+			run := rb.pages
 			if len(run) != n {
 				t.Fatalf("readPages(%d, %d) returned %d pages", base, n, len(run))
 			}

@@ -91,28 +91,29 @@ func (b *fileBackend) read(id PageID) ([]byte, error) {
 }
 
 // readPages fetches n consecutive slots with a single positional
-// ReadAt — one pread where the per-page path would issue n — then
-// splits the buffer into per-slot payloads. Each payload aliases the
-// shared buffer; pages are write-once, so the aliasing is safe.
-func (b *fileBackend) readPages(base PageID, n int) ([][]byte, error) {
+// ReadAt — one pread where the per-page path would issue n — into
+// into's buffer, then splits it into per-slot payloads. Each payload
+// aliases the buffer, so it stays valid until the buffer is passed to
+// another read.
+func (b *fileBackend) readPages(base PageID, n int, into runBuf) (runBuf, error) {
 	if int(base)+n > b.pageCount() {
-		return nil, fmt.Errorf("pager: read of unallocated pages [%d,%d)", base, int(base)+n)
+		return into, fmt.Errorf("pager: read of unallocated pages [%d,%d)", base, int(base)+n)
 	}
 	slot := b.slotSize()
-	buf := make([]byte, slot*int64(n))
-	if _, err := b.f.ReadAt(buf, int64(base)*slot); err != nil {
-		return nil, fmt.Errorf("pager: reading pages [%d,%d): %w", base, int(base)+n, err)
+	into.buf = grow(into.buf, int(slot)*n)
+	into.pages = grow(into.pages, n)
+	if _, err := b.f.ReadAt(into.buf, int64(base)*slot); err != nil {
+		return into, fmt.Errorf("pager: reading pages [%d,%d): %w", base, int(base)+n, err)
 	}
-	run := make([][]byte, n)
-	for i := range run {
-		s := buf[int64(i)*slot : int64(i+1)*slot]
+	for i := range into.pages {
+		s := into.buf[int64(i)*slot : int64(i+1)*slot]
 		ln := binary.LittleEndian.Uint32(s)
 		if int(ln) > b.pageSize {
-			return nil, fmt.Errorf("pager: page %d declares %d bytes, page size is %d", base+PageID(i), ln, b.pageSize)
+			return into, fmt.Errorf("pager: page %d declares %d bytes, page size is %d", base+PageID(i), ln, b.pageSize)
 		}
-		run[i] = s[4 : 4+ln]
+		into.pages[i] = s[4 : 4+ln]
 	}
-	return run, nil
+	return into, nil
 }
 
 func (b *fileBackend) numPages() int {

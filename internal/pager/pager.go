@@ -94,8 +94,9 @@ type backend interface {
 	read(id PageID) ([]byte, error)
 	// readPages fetches n consecutive pages starting at base with one
 	// backend operation (a single pread on the file backend), returning
-	// one payload per page.
-	readPages(base PageID, n int) ([][]byte, error)
+	// one payload per page. It builds the run in into's storage,
+	// growing it as needed; a zero into gets fresh storage.
+	readPages(base PageID, n int, into runBuf) (runBuf, error)
 	numPages() int
 }
 
@@ -196,15 +197,31 @@ func (m *memBackend) read(id PageID) ([]byte, error) {
 	return m.pages[id], nil
 }
 
-func (m *memBackend) readPages(base PageID, n int) ([][]byte, error) {
+func (m *memBackend) readPages(base PageID, n int, into runBuf) (runBuf, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	if int(base)+n > len(m.pages) {
-		return nil, fmt.Errorf("pager: read of unallocated pages [%d,%d)", base, int(base)+n)
+		return into, fmt.Errorf("pager: read of unallocated pages [%d,%d)", base, int(base)+n)
 	}
-	run := make([][]byte, n)
-	copy(run, m.pages[base:int(base)+n])
-	return run, nil
+	into.pages = grow(into.pages, n)
+	copy(into.pages, m.pages[base:int(base)+n])
+	return into, nil
+}
+
+// runBuf is the storage of one coalesced read: the raw bytes, if the
+// backend copies pages out, and the per-page payload views.
+type runBuf struct {
+	buf   []byte
+	pages [][]byte
+}
+
+// grow returns s resized to n, reusing its backing array when it is
+// large enough.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 func (m *memBackend) numPages() int {
@@ -305,6 +322,7 @@ type runReader struct {
 
 	run     [][]byte // payloads fetched by the last coalesced read
 	runFrom int      // index into pages of run[0]
+	storage runBuf   // run's storage, reused by the next read when no pool keeps pages
 }
 
 func newRunReader(s *Store, pages []PageID, reads *atomic.Int64) runReader {
@@ -344,7 +362,15 @@ func (r *runReader) next() []byte {
 		}
 		n++
 	}
-	run, err := r.s.back.readPages(id, n)
+	// Without a pool nothing keeps a page past the scan's move to the
+	// next one, and decoded records never alias page bytes, so the
+	// last run's storage can take this run. A pool keeps the views it
+	// is given, so each run then needs its own.
+	var into runBuf
+	if r.s.pool == nil {
+		into = r.storage
+	}
+	rb, err := r.s.back.readPages(id, n, into)
 	if err != nil {
 		panic(err.Error())
 	}
@@ -353,8 +379,9 @@ func (r *runReader) next() []byte {
 		r.s.coalescedReads.Add(1)
 		r.s.readRunPages.Add(int64(n))
 	}
-	r.run, r.runFrom = run, i
-	return r.consume(id, run[0])
+	r.storage = rb
+	r.run, r.runFrom = rb.pages, i
+	return r.consume(id, rb.pages[0])
 }
 
 func (r *runReader) consume(id PageID, data []byte) []byte {

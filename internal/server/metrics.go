@@ -177,6 +177,12 @@ func newOpMetrics(reg *metrics.Registry, s *Server) *opMetrics {
 	reg.CounterFunc("sigtable_directory_rank_seconds", "cumulative wall time of bit-sliced ranking passes", func() float64 {
 		return s.idx.DirectoryStats().RankSeconds
 	})
+	reg.CounterFunc("sigtable_directory_entries_ranked_total", "entries the bit-sliced kernel bounded", func() float64 {
+		return float64(s.idx.DirectoryStats().EntriesRanked)
+	})
+	reg.CounterFunc("sigtable_directory_entries_ordered_total", "entries the ranking ladder put in final visiting order", func() float64 {
+		return float64(s.idx.DirectoryStats().EntriesOrdered)
+	})
 
 	// Per-shard telemetry for the sharded engine: sizes, query
 	// fan-out, accumulated lock wait and page reads, one series per

@@ -17,10 +17,7 @@
 //	POST /v1/rebuild {parallelism}          in-place compaction
 //
 // The pre-versioning unversioned routes (/query, /stats, ...) are
-// retired: they answer 410 Gone with the /v1 successor named in the
-// error envelope and a Link header, so a stale client gets a machine-
-// readable forwarding address instead of silently changing behavior.
-// /debug/pprof is wired for live profiling.
+// gone and answer 404. /debug/pprof is wired for live profiling.
 //
 // The server holds any sigtable.Engine — a single-table Index or a
 // ShardedIndex. With a sharded engine, /v1/stats gains a per-shard
@@ -80,9 +77,6 @@ const (
 	// CodeOverloaded is returned when the concurrency limit could not
 	// be acquired before the client gave up.
 	CodeOverloaded = "overloaded"
-	// CodeGone is returned for retired pre-/v1 unversioned routes; the
-	// message names the /v1 successor.
-	CodeGone = "gone"
 )
 
 // Options tunes the server's operational envelope.
@@ -174,7 +168,6 @@ func (s *Server) Handler() http.Handler {
 	}
 	for _, rt := range routes {
 		mux.HandleFunc(rt.method+" /v1/"+rt.name, rt.h)
-		mux.HandleFunc(rt.method+" /"+rt.name, s.gone("/v1/"+rt.name))
 	}
 	mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
 
@@ -187,19 +180,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 
 	return s.withMiddleware(mux)
-}
-
-// gone answers a retired unversioned route: 410 with the successor in
-// both the error envelope and a Link header
-// (draft-ietf-httpapi-deprecation-header shape). The pre-/v1 aliases
-// served the live handlers through one deprecation cycle; now that the
-// cycle has lapsed they fail loudly instead of drifting.
-func (s *Server) gone(successor string) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Link", fmt.Sprintf("<%s>; rel=\"successor-version\"", successor))
-		s.writeErr(w, http.StatusGone, CodeGone,
-			"unversioned route %s has been retired; use %s", r.URL.Path, successor)
-	}
 }
 
 // Neighbor is one k-NN result row.
@@ -489,11 +469,13 @@ type ShardInfo struct {
 // (DESIGN.md §4h). Slots and Bytes are summed across shards for a
 // sharded engine; the ranking counters are process-wide.
 type DirectoryInfo struct {
-	Slots       int     `json:"slots"`
-	Bytes       int64   `json:"bytes"`
-	Rebuilds    uint64  `json:"rebuilds"`
-	Ranks       uint64  `json:"ranks"`
-	RankSeconds float64 `json:"rankSeconds"`
+	Slots          int     `json:"slots"`
+	Bytes          int64   `json:"bytes"`
+	Rebuilds       uint64  `json:"rebuilds"`
+	Ranks          uint64  `json:"ranks"`
+	RankSeconds    float64 `json:"rankSeconds"`
+	EntriesRanked  uint64  `json:"entriesRanked"`
+	EntriesOrdered uint64  `json:"entriesOrdered"`
 }
 
 // StatsResponse is the /v1/stats reply. Pool and DecodeCache appear
@@ -648,11 +630,13 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	ds := s.idx.DirectoryStats()
 	resp.Directory = &DirectoryInfo{
-		Slots:       ds.Slots,
-		Bytes:       ds.Bytes,
-		Rebuilds:    ds.Rebuilds,
-		Ranks:       ds.Ranks,
-		RankSeconds: ds.RankSeconds,
+		Slots:          ds.Slots,
+		Bytes:          ds.Bytes,
+		Rebuilds:       ds.Rebuilds,
+		Ranks:          ds.Ranks,
+		RankSeconds:    ds.RankSeconds,
+		EntriesRanked:  ds.EntriesRanked,
+		EntriesOrdered: ds.EntriesOrdered,
 	}
 	if sx, ok := s.idx.(*sigtable.ShardedIndex); ok {
 		for _, st := range sx.ShardStats() {

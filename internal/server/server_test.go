@@ -60,7 +60,10 @@ func post(t *testing.T, url string, body interface{}, out interface{}) int {
 }
 
 func TestStats(t *testing.T) {
-	ts, _ := newTestServer(t, Options{})
+	ts, data := newTestServer(t, Options{})
+	if code := post(t, ts.URL+"/v1/query", QueryRequest{Items: data.Get(5), F: "cosine", K: 1}, nil); code != http.StatusOK {
+		t.Fatalf("query status %d", code)
+	}
 	resp, err := http.Get(ts.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
@@ -72,6 +75,9 @@ func TestStats(t *testing.T) {
 	}
 	if stats.Transactions != 3000 || stats.K != 10 || stats.Universe != 200 {
 		t.Fatalf("stats = %+v", stats)
+	}
+	if d := stats.Directory; d == nil || d.EntriesRanked == 0 || d.EntriesOrdered == 0 {
+		t.Fatalf("directory section after a query = %+v", d)
 	}
 }
 
@@ -230,6 +236,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		"# TYPE sigtable_live_transactions gauge",
 		"sigtable_live_transactions 3000",
 		"# TYPE sigtable_entries_pruned_total counter",
+		"# TYPE sigtable_directory_entries_ranked_total counter",
+		"# TYPE sigtable_directory_entries_ordered_total counter",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("metrics missing %q", want)
@@ -252,29 +260,30 @@ func grep(s, substr string) string {
 	return b.String()
 }
 
-func TestLegacyAliasGone(t *testing.T) {
+// TestUnversionedRoutesNotFound pins the retirement of the pre-/v1
+// routes: they are not routed at all and answer 404, while the /v1
+// route serves normally with no deprecation signalling.
+func TestUnversionedRoutesNotFound(t *testing.T) {
 	ts, data := newTestServer(t, Options{})
 	b, _ := json.Marshal(QueryRequest{Items: data.Get(3), F: "dice", K: 1})
 	resp, err := http.Post(ts.URL+"/query", "application/json", bytes.NewReader(b))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusGone {
-		t.Fatalf("retired route status %d, want %d", resp.StatusCode, http.StatusGone)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("unversioned route status %d, want %d", resp.StatusCode, http.StatusNotFound)
 	}
-	if link := resp.Header.Get("Link"); !strings.Contains(link, "/v1/query") {
-		t.Fatalf("retired route Link = %q", link)
+	if link := resp.Header.Get("Link"); link != "" {
+		t.Fatalf("unversioned route carries Link %q", link)
 	}
-	var e ErrorResponse
-	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+	stats, err := http.Get(ts.URL + "/stats")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Error.Code != CodeGone {
-		t.Fatalf("retired route error code %q, want %q", e.Error.Code, CodeGone)
-	}
-	if !strings.Contains(e.Error.Message, "/v1/query") {
-		t.Fatalf("retired route error does not name the successor: %q", e.Error.Message)
+	stats.Body.Close()
+	if stats.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /stats status %d, want %d", stats.StatusCode, http.StatusNotFound)
 	}
 
 	// The v1 route serves normally, with no deprecation signalling.

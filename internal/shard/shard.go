@@ -608,6 +608,7 @@ func (x *Index) DirectoryStats() core.DirectoryStats {
 		agg.Slots += st.Slots
 		agg.Bytes += st.Bytes
 		agg.Rebuilds, agg.Ranks, agg.RankSeconds = st.Rebuilds, st.Ranks, st.RankSeconds
+		agg.EntriesRanked, agg.EntriesOrdered = st.EntriesRanked, st.EntriesOrdered
 	}
 	return agg
 }

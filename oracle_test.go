@@ -154,11 +154,12 @@ var raceEnabled bool
 // whole query allocates a small constant — the result, the top-k heap,
 // the search's closures — and nothing per entry.
 //
-// The file-backed case, with no buffer pool, allocates once more per
-// backend read: the file backend's coalesced read returns a fresh
-// buffer and a slice of per-page views into it. Its ceiling is stated
-// in those reads, so a per-entry or per-page allocation on the disk
-// path fails it.
+// The file-backed case, with no buffer pool, allocates more per
+// backend read: each scan's first coalesced read takes a fresh buffer
+// and a slice of per-page views into it, which the scan's later reads
+// reuse. Its ceiling is stated in those reads — 2 per read, 10 fewer
+// than before the reuse (106 → 96 at 49.84 reads) — so a per-entry or
+// per-page allocation on the disk path, or losing the reuse, fails it.
 func TestQueryAllocsPinned(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector randomly drops sync.Pool items, so pooled scratch reallocates")
@@ -203,13 +204,13 @@ func TestQueryAllocsPinned(t *testing.T) {
 		calls++
 	})
 	reads := float64(store.Stats().BackendReads) / runs
-	limit := 2*reads + 10
+	limit := 2 * reads
 	t.Logf("file-backed: %v allocations, %v backend reads per query", allocs, reads)
 	if reads == 0 {
 		t.Fatal("file-backed fixture issued no backend reads")
 	}
 	if allocs > limit {
-		t.Fatalf("k=1 file-backed Query allocates %v times per query, want <= 2·%v backend reads + 10 = %v", allocs, reads, limit)
+		t.Fatalf("k=1 file-backed Query allocates %v times per query, want <= 2·%v backend reads = %v", allocs, reads, limit)
 	}
 }
 
